@@ -2,23 +2,20 @@
 hexagons with symmetrically placed triangular holes."""
 
 from .regions import (
+    CapExceeded,
     Region,
     RegionSpec,
     build_hexagon,
     build_region,
     left_half_free,
     lower_half_weighted,
-    punch_central_rhombus,
     punch_holes,
     upper_half,
 )
 from .tiler import (
-    CountReport,
     count_free,
     count_hsym,
     count_plain,
-    count_profile_dp,
-    count_report,
     count_via_enumeration,
     count_vsym,
     count_weighted2,
@@ -37,7 +34,6 @@ from .closedforms import (
     box_tilings,
     symmetric_box_tilings,
     transpose_complement_box_tilings,
-    verify_box_product,
 )
 from .intlinalg import (
     LabeledMatrix,

@@ -4,7 +4,8 @@ polynomiality probe, and the full self-test.
 Region specs are given as key=value tokens (`n=15 m=5 k=2,5,7 x=0`); grids
 as comparisons (`--grid "n<=4 m<=2 l<=1"` or `"n in {2,4} x in {1,3}"`).
 Exact integers are serialized as decimal strings in JSON output.  Exit
-status is 0 when every checked identity holds, 1 otherwise.
+status is 0 when every checked identity holds, 1 when one fails, and 2 on
+bad input or an exceeded cap.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 import time
 
 from . import paths, tiler, verify
-from .regions import RegionSpec, build_region, left_half_free, lower_half_weighted
+from .regions import CapExceeded, RegionSpec, build_region, left_half_free, lower_half_weighted
 
 GRID_TOKEN = re.compile(r"(\w+)\s*(<=|=|in)\s*(\{[^{}]*\}|\S+)")
 
@@ -90,12 +91,11 @@ def cmd_count(args) -> int:
     if cls == "full":
         value = tiler.count_plain(region)
         method = "profile-dp"
-        if value <= args.crosscheck_limit:
+        if tiler.enumerable(region, value, args.crosscheck_limit):
             crosscheck = "ok" if tiler.count_via_enumeration(region) == value else "MISMATCH"
     elif cls in ("hsym", "vsym"):
         counter = tiler.count_hsym if cls == "hsym" else tiler.count_vsym
-        plain = tiler.count_plain(region)
-        small = plain <= args.crosscheck_limit
+        small = tiler.enumerable(region, tiler.count_plain(region), args.crosscheck_limit)
         value = counter(region, method="filter" if small else "half")
         method = "enumeration-filter" if small else "half-region profile-dp"
         if small:
@@ -135,7 +135,7 @@ def cmd_count(args) -> int:
 def cmd_verify(args) -> int:
     _apply_cap_flags(args)
     grid = parse_grid(" ".join(args.grid)) if args.grid else None
-    names = list(verify.SUITE_NAMES) if args.target == "all" else [args.target]
+    names = list(verify.SUITES) if args.target == "all" else [args.target]
     failures = 0
     for name in names:
         records = verify.run_suite(name, grid=grid, trials=args.trials, seed=args.seed)
@@ -148,7 +148,7 @@ def cmd_polycheck(args) -> int:
     _apply_cap_flags(args)
     spec = RegionSpec.parse(" ".join(args.spec))
     if spec.holes or spec.central_x:
-        raise SystemExit("polycheck takes a plain hexagon spec (n=.. m=..)")
+        raise ValueError("polycheck takes a plain hexagon spec (n=.. m=..)")
     profile = verify.polynomial_profile(spec.n, spec.m, args.xmax)
     emit(
         [
@@ -168,7 +168,7 @@ def cmd_polycheck(args) -> int:
 def cmd_selftest(args) -> int:
     _apply_cap_flags(args)
     failures = 0
-    for name in verify.SUITE_NAMES:
+    for name in verify.SUITES:
         started = time.time()
         records = verify.run_suite(name, trials=args.trials, seed=args.seed)
         bad = sum(1 for rec in records if not rec["pass"])
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run one identity suite over a grid")
-    p.add_argument("target", choices=verify.SUITE_NAMES + ("all",))
+    p.add_argument("target", choices=(*verify.SUITES, "all"))
     p.add_argument("--grid", nargs="+", default=None, help='e.g. n<=4 m<=2 l<=1 or "n in {2,4}"')
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, CapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

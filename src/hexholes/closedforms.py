@@ -56,23 +56,3 @@ def transpose_complement_box_tilings(a: int, b: int) -> int:
             value *= Fraction(2 * a + i + j, i + j)
     return _exact_int(value, f"transpose_complement_box_tilings{(a, b)}")
 
-
-def hexagon_total(n: int, m: int) -> int:
-    """Plain tiling count of the (n, 2m) hexagon via the box formula."""
-    return box_tilings(2 * m, n, n)
-
-
-def hexagon_vsym(n: int, m: int) -> int:
-    return symmetric_box_tilings(n, 2 * m)
-
-
-def hexagon_hsym(n: int, m: int) -> int:
-    return transpose_complement_box_tilings(m, n)
-
-
-def verify_box_product(a: int, b: int) -> bool:
-    """Does total = transpose-complementary * symmetric hold for the
-    2a x b x b box, by the closed forms alone?"""
-    return box_tilings(2 * a, b, b) == (
-        transpose_complement_box_tilings(a, b) * symmetric_box_tilings(b, 2 * a)
-    )

@@ -170,15 +170,6 @@ class LabeledMatrix:
     def get(self, row: Label, col: Label) -> int:
         return self.rows[self._ri[row]][self._ci[col]]
 
-    def submatrix(self, row_labels: Iterable[Label], col_labels: Iterable[Label]) -> "LabeledMatrix":
-        row_labels = tuple(row_labels)
-        col_labels = tuple(col_labels)
-        rows = [[self.get(r, c) for c in col_labels] for r in row_labels]
-        return LabeledMatrix(row_labels, col_labels, rows)
-
-    def with_labels(self, row_labels: Iterable[Label], col_labels: Iterable[Label]) -> "LabeledMatrix":
-        return LabeledMatrix(row_labels, col_labels, self.rows)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledMatrix):
             return NotImplemented
@@ -190,10 +181,6 @@ class LabeledMatrix:
 
     def __repr__(self) -> str:
         return f"LabeledMatrix(rows={self.row_labels!r}, cols={self.col_labels!r}, {self.rows!r})"
-
-    def entries_equal(self, other: "LabeledMatrix") -> bool:
-        """Positionwise equality, ignoring the labels."""
-        return self.rows == other.rows
 
     # -- structure checks ----------------------------------------------------
 
@@ -210,9 +197,6 @@ class LabeledMatrix:
                         f"breaks skew-symmetry"
                     )
         return bad
-
-    def is_skew_symmetric(self) -> bool:
-        return not self.skew_violations()
 
 
 def _require_even_skew(a: LabeledMatrix, what: str) -> None:

@@ -30,14 +30,14 @@ from .intlinalg import (
     signed_range_sum,
     determinant,
 )
-from .regions import RegionSpec
+from .regions import CapExceeded, RegionSpec
 
 Point = tuple[int, int]
 
 DEFAULT_FAMILY_CAP = 100_000
 
 
-class FamilyCapExceeded(RuntimeError):
+class FamilyCapExceeded(CapExceeded):
     pass
 
 
@@ -122,19 +122,11 @@ def free_endpoint_pfaffian_matrix(
     return LabeledMatrix.build(labels, labels, entry)
 
 
-def lgv_matrix(
-    starts: Sequence[Point], ends: Sequence[Point], weight: str = "free"
-) -> LabeledMatrix:
-    """LGV matrix: entry (i, j) is the path generating function from
-    starts[j] to ends[i].  weight "free" counts all monotone paths;
-    "diagonal2" confines paths below x = y with factor 2 per touch."""
-    if weight == "free":
-        gf = free_path_count
-    elif weight == "diagonal2":
-        gf = lambda a, b: reflectable_gf(a[0], a[1], b[0], b[1])
-    else:
-        raise ValueError(f"unknown weight rule {weight!r}")
-    rows = [[gf(s, e) for s in starts] for e in ends]
+def lgv_matrix(starts: Sequence[Point], ends: Sequence[Point]) -> LabeledMatrix:
+    """LGV matrix of diagonal-confined paths: entry (i, j) is the generating
+    function of paths from starts[j] to ends[i] below x = y, with factor 2
+    per diagonal touch."""
+    rows = [[reflectable_gf(s[0], s[1], e[0], e[1]) for s in starts] for e in ends]
     return LabeledMatrix(list(range(len(ends))), list(range(len(starts))), rows)
 
 
@@ -414,21 +406,6 @@ def brute_force_fixed_families(
 
     rec(0, 1)
     return total
-
-
-def count_free_by_families(spec: RegionSpec, cap: int = DEFAULT_FAMILY_CAP) -> EndlineFamilies:
-    """Brute-force the free-boundary half count through its path families."""
-    starts = [start_point(spec, lab) for lab in endpoint_labels(spec)]
-    return brute_force_endline_families(starts, cut_line_points(spec), cap=cap)
-
-
-def count_weighted2_by_families(spec: RegionSpec, cap: int = DEFAULT_FAMILY_CAP) -> int:
-    return brute_force_fixed_families(
-        diagonal_start_points(spec),
-        diagonal_end_points(spec),
-        diagonal=True,
-        cap=cap,
-    )
 
 
 # ---------------------------------------------------------------------------

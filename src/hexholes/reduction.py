@@ -280,18 +280,16 @@ def difference_transform(b: LabeledMatrix) -> LabeledMatrix:
 # random instances
 
 
-def random_structured(
-    rng: random.Random, m: int, l: int, lo: int = -9, hi: int = 9
-) -> StructuredSkew:
+def random_structured(rng: random.Random, m: int, l: int) -> StructuredSkew:
     """A random hypothesis-satisfying instance: free parameters uniform in
-    [lo, hi], constrained entries filled in from the antisymmetries.
+    [-9, 9], constrained entries filled in from the antisymmetries.
 
     Free parameters: the whole band; y[1..m, t-] (y[0, t-] = 0 and
     negatives mirror); y[2..m, t+] and the lone unpaired y[1-m, t+]
     (y[1, t+] = 0, the rest mirror through i -> 2-i); all minus/plus hole
     entries and the strict upper plus/plus triangle.
     """
-    draw = lambda: rng.randint(lo, hi)
+    draw = lambda: rng.randint(-9, 9)
     band = tuple(draw() for _ in range(2 * m - 1))
     ints = int_labels(m)
 

@@ -27,9 +27,14 @@ analogous pair of side-x triangles meeting at the equator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 Triangle = tuple[int, int]
+
+
+class CapExceeded(RuntimeError):
+    """A size cap stopped a count or an oracle: the input is too large for
+    the current caps, which says nothing about any identity."""
 
 
 @dataclass(frozen=True)
@@ -145,10 +150,6 @@ class Region:
             return p % 2 == 0
         return p % 2 == 1
 
-    def in_frame(self, t: Triangle) -> bool:
-        i, p = t
-        return 0 <= i < self.num_rows and 0 <= p < self.row_len(i)
-
     # -- reflections -----------------------------------------------------------
 
     def reflect_h(self, t: Triangle) -> Triangle:
@@ -159,16 +160,9 @@ class Region:
         i, p = t
         return (self.num_rows - 1 - i, p)
 
-    def is_symmetric_h(self) -> bool:
-        ref = self.reflect_h
-        return (
-            {ref(t) for t in self.triangles} == set(self.triangles)
-            and {ref(t) for t in self.free} == set(self.free)
-            and {ref(t) for t in self.special} == set(self.special)
-        )
-
-    def is_symmetric_v(self) -> bool:
-        ref = self.reflect_v
+    def is_symmetric(self, ref: Callable[[Triangle], Triangle]) -> bool:
+        """Is the region, with its free and special markers, fixed by the
+        reflection ref (reflect_h or reflect_v)?"""
         return (
             {ref(t) for t in self.triangles} == set(self.triangles)
             and {ref(t) for t in self.free} == set(self.free)
@@ -190,15 +184,6 @@ class Region:
             return None
         return (j, q)
 
-    def neighbors(self, t: Triangle) -> list[Triangle]:
-        """Present triangles sharing an edge with t."""
-        i, p = t
-        out = [n for n in ((i, p - 1), (i, p + 1)) if n in self.triangles]
-        v = self.vertical_partner(t)
-        if v is not None and v in self.triangles:
-            out.append(v)
-        return out
-
     # -- axis structure ----------------------------------------------------------
 
     def axis_positions(self) -> list[tuple[Triangle, Triangle]]:
@@ -212,10 +197,6 @@ class Region:
             elif (up in self.triangles) != (down in self.triangles):
                 raise AssertionError(f"half-removed axis position {j}")
         return out
-
-    def balance(self) -> tuple[int, int]:
-        ups = sum(1 for t in self.triangles if self.is_up(t))
-        return ups, len(self.triangles) - ups
 
 
 # ---------------------------------------------------------------------------
@@ -254,51 +235,39 @@ def _remove_cells(region: Region, cells: set[Triangle], what: str) -> Region:
     return replace(region, triangles=region.triangles - cells)
 
 
-def punch_symmetric_triangle_pair(region: Region, apex_row: int, side: int) -> Region:
-    """Remove an up-pointing axis triangle plus its reflect_v mirror image."""
+def _mirror_pair_cells(region: Region, apex_row: int, side: int) -> set[Triangle]:
+    """Cells of an up-pointing axis triangle plus its reflect_v mirror image."""
     up_cells = axis_up_triangle_cells(region, apex_row, side)
     mirror = {region.reflect_v(t) for t in up_cells}
     if not up_cells.isdisjoint(mirror):
-        raise ValueError("triangle pair overlaps its own mirror image")
-    return _remove_cells(region, up_cells | mirror, f"triangle pair at row {apex_row}")
+        raise ValueError(f"triangle pair at row {apex_row} overlaps its own mirror image")
+    return up_cells | mirror
+
+
+def punch_symmetric_triangle_pair(region: Region, apex_row: int, side: int) -> Region:
+    """Remove an up-pointing axis triangle plus its reflect_v mirror image."""
+    cells = _mirror_pair_cells(region, apex_row, side)
+    return _remove_cells(region, cells, f"triangle pair at row {apex_row}")
 
 
 def punch_holes(region: Region, holes: Iterable[int]) -> Region:
     """Punch the mirror pair of side-2 triangular holes for each hole index."""
     taken: set[Triangle] = set()
     for k in sorted(holes):
-        up_cells = axis_up_triangle_cells(region, 2 * k - 2, 2)
-        mirror = {region.reflect_v(t) for t in up_cells}
-        pair = up_cells | mirror
-        if not up_cells.isdisjoint(mirror):
-            raise ValueError(f"hole k={k} overlaps its own mirror image")
+        pair = _mirror_pair_cells(region, 2 * k - 2, 2)
         if pair & taken:
             raise ValueError(f"hole k={k} overlaps another hole")
         taken |= pair
     return _remove_cells(region, taken, "hole set")
 
 
-def punch_central_rhombus(spec: RegionSpec) -> Region:
-    """The spec's region when a central rhombus is present: holes are punched
-    in the enlarged hexagon of side n + x, then the side-x rhombus (a pair of
-    axis triangles meeting at the equator) is removed from the center."""
-    if spec.central_x > 0 and spec.n % 2:
-        raise ValueError("a central rhombus needs even n")
-    region = build_hexagon(spec.frame_side, spec.m)
-    if spec.holes:
-        region = punch_holes(region, spec.holes)
+def build_region(spec: RegionSpec) -> Region:
+    """Region for a spec: the hexagon of side n + x with the spec's holes
+    punched, then the side-x central rhombus (a pair of axis triangles
+    meeting at the equator) removed when x > 0."""
+    region = punch_holes(build_hexagon(spec.frame_side, spec.m), spec.holes)
     if spec.central_x:
         region = punch_symmetric_triangle_pair(region, spec.n, spec.central_x)
-    return region
-
-
-def build_region(spec: RegionSpec) -> Region:
-    """Region for a spec: punched hexagon, with optional central rhombus."""
-    if spec.central_x:
-        return punch_central_rhombus(spec)
-    region = build_hexagon(spec.n, spec.m)
-    if spec.holes:
-        region = punch_holes(region, spec.holes)
     return region
 
 
@@ -309,7 +278,7 @@ def build_region(spec: RegionSpec) -> Region:
 def upper_half(region: Region) -> Region:
     """Everything strictly on one side of the hole axis; the axis lozenge
     positions themselves are excluded.  Requires reflect_h symmetry."""
-    if not region.is_symmetric_h():
+    if not region.is_symmetric(region.reflect_h):
         raise ValueError("upper_half needs a reflect_h-symmetric region")
     cells = frozenset(t for t in region.triangles if t[1] > region.center(t[0]))
     return Region(side=region.side, m=region.m, triangles=cells)
@@ -318,7 +287,7 @@ def upper_half(region: Region) -> Region:
 def lower_half_weighted(region: Region) -> Region:
     """The complementary half including the axis lozenge positions, whose
     up-triangles are marked as half-weight specials."""
-    if not region.is_symmetric_h():
+    if not region.is_symmetric(region.reflect_h):
         raise ValueError("lower_half_weighted needs a reflect_h-symmetric region")
     cells = frozenset(t for t in region.triangles if t[1] <= region.center(t[0]))
     specials = frozenset(up for up, _down in region.axis_positions())
@@ -329,7 +298,7 @@ def left_half_free(region: Region) -> Region:
     """The half on one side of the perpendicular symmetry axis, cut along
     that axis, with every unit edge on the cut free.  Requires reflect_v
     symmetry."""
-    if not region.is_symmetric_v():
+    if not region.is_symmetric(region.reflect_v):
         raise ValueError("left_half_free needs a reflect_v-symmetric region")
     cells = frozenset(t for t in region.triangles if t[0] < region.side)
     cut_row = region.side - 1

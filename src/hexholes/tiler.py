@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator
 
 from .regions import (
+    CapExceeded,
     Region,
     RegionSpec,
     Triangle,
     build_region,
     left_half_free,
-    lower_half_weighted,
     upper_half,
 )
 
@@ -34,14 +33,15 @@ Tiling = frozenset
 DEFAULT_ENUM_CAP = 1_000_000
 DEFAULT_TRIANGLE_CAP = 200
 DEFAULT_DP_WIDTH_CAP = 64
-DEFAULT_FILTER_LIMIT = 20_000
+# most tilings the symmetry filter enumerates before "auto" counts halves
+FILTER_LIMIT = 20_000
 
 
-class EnumerationCapExceeded(RuntimeError):
+class EnumerationCapExceeded(CapExceeded):
     pass
 
 
-class WidthCapExceeded(RuntimeError):
+class WidthCapExceeded(CapExceeded):
     pass
 
 
@@ -125,6 +125,12 @@ def enumerate_tilings(
     yield from extend(0)
 
 
+def enumerable(region: Region, count: int, limit: int) -> bool:
+    """May a region with `count` tilings be enumerated as an oracle: at most
+    `limit` tilings and no more triangles than the triangle cap?"""
+    return count <= limit and len(region.triangles) <= triangle_cap_default()
+
+
 def count_via_enumeration(region: Region, enum_cap: int | None = None) -> int:
     return sum(1 for _ in enumerate_tilings(region, enum_cap=enum_cap))
 
@@ -193,11 +199,6 @@ def _profile_dp(region: Region, use_free: bool, weighted: bool) -> int:
     return states.get(0, 0)
 
 
-def count_profile_dp(region: Region) -> int:
-    """Plain tiling count by the profile DP (free/special markers ignored)."""
-    return _profile_dp(region, use_free=False, weighted=False)
-
-
 def count_plain(region: Region) -> int:
     """Number of lozenge tilings (no half lozenges, no weights)."""
     return _profile_dp(region, use_free=False, weighted=False)
@@ -218,78 +219,43 @@ def count_weighted2(region: Region) -> int:
 # symmetry classes
 
 
-def count_hsym(
+def _count_fixed(
     region: Region,
-    method: str = "auto",
-    filter_limit: int = DEFAULT_FILTER_LIMIT,
+    method: str,
+    ref: Callable[[Triangle], Triangle],
+    count_half: Callable[[], int],
 ) -> int:
+    """Tilings fixed by the reflection ref: "filter" enumerates and keeps
+    the fixed tilings (the definition), "half" returns count_half(), and
+    "auto" filters when enumeration is feasible."""
+    if method == "auto":
+        method = "filter" if enumerable(region, count_plain(region), FILTER_LIMIT) else "half"
+    if method == "filter":
+        if not region.is_symmetric(ref):
+            raise ValueError("the symmetry filter needs a region fixed by the reflection")
+        return sum(
+            1
+            for tiling in enumerate_tilings(region)
+            if map_tiling(tiling, ref) == tiling
+        )
+    if method == "half":
+        return count_half()
+    raise ValueError(f"unknown method {method!r}")
+
+
+def count_hsym(region: Region, method: str = "auto") -> int:
     """Tilings fixed by reflect_h.
 
-    method "filter" enumerates and filters (the definition; needs a small
-    region); "half" counts tilings of the half region above the hole axis,
-    which agrees with the definition because a symmetric tiling must place
-    a horizontal lozenge on every surviving axis position.  "auto" filters
-    when the plain count is small and falls back to "half".
+    "half" counts tilings of the half region above the hole axis, which
+    agrees with the definition because a symmetric tiling must place a
+    horizontal lozenge on every surviving axis position.
     """
-    if method == "auto":
-        method = "filter" if count_plain(region) <= filter_limit else "half"
-    if method == "filter":
-        if not region.is_symmetric_h():
-            raise ValueError("count_hsym needs a reflect_h-symmetric region")
-        ref = region.reflect_h
-        return sum(
-            1
-            for tiling in enumerate_tilings(region)
-            if map_tiling(tiling, ref) == tiling
-        )
-    if method == "half":
-        return count_plain(upper_half(region))
-    raise ValueError(f"unknown method {method!r}")
+    return _count_fixed(region, method, region.reflect_h, lambda: count_plain(upper_half(region)))
 
 
-def count_vsym(
-    region: Region,
-    method: str = "auto",
-    filter_limit: int = DEFAULT_FILTER_LIMIT,
-) -> int:
+def count_vsym(region: Region, method: str = "auto") -> int:
     """Tilings fixed by reflect_v; "half" counts the free-boundary half."""
-    if method == "auto":
-        method = "filter" if count_plain(region) <= filter_limit else "half"
-    if method == "filter":
-        if not region.is_symmetric_v():
-            raise ValueError("count_vsym needs a reflect_v-symmetric region")
-        ref = region.reflect_v
-        return sum(
-            1
-            for tiling in enumerate_tilings(region)
-            if map_tiling(tiling, ref) == tiling
-        )
-    if method == "half":
-        return count_free(left_half_free(region))
-    raise ValueError(f"unknown method {method!r}")
-
-
-@dataclass(frozen=True)
-class CountReport:
-    """All five counts of one region: plain, the two symmetry classes, the
-    free-boundary half count, and the weighted lower-half integer."""
-
-    plain: int
-    hsym: int
-    vsym: int
-    free: int
-    weighted2: int
-
-
-def count_report(spec: RegionSpec) -> CountReport:
-    region = build_region(spec)
-    return CountReport(
-        plain=count_plain(region),
-        hsym=count_hsym(region),
-        vsym=count_vsym(region),
-        free=count_free(left_half_free(region)),
-        weighted2=count_weighted2(lower_half_weighted(region)),
-    )
+    return _count_fixed(region, method, region.reflect_v, lambda: count_free(left_half_free(region)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +270,6 @@ def axis_cut_positions(region: Region) -> list[int]:
         p
         for (i, p) in region.triangles
         if i == cut_row and region.is_up((i, p)) and (cut_row + 1, p) in region.triangles
-    )
-
-
-def bisected_axis_tiles(region: Region, tiling: Tiling) -> int:
-    """How many tiles of the tiling are lozenges bisected by the equator."""
-    cut_row = region.side - 1
-    return sum(
-        1
-        for tile in tiling
-        if len(tile) == 2 and tile[0][0] == cut_row and tile[1][0] == cut_row + 1
     )
 
 

@@ -25,7 +25,10 @@ from .regions import (
     upper_half,
 )
 
-FILTER_LIMIT = tiler.DEFAULT_FILTER_LIMIT
+# most tilings an oracle suite enumerates per region
+ENUM_LIMIT = 50_000
+# most candidate path families a brute-force family oracle may combine
+FAMILY_CAP = 2_000_000
 
 
 def record(spec: str, identity: str, lhs: int, rhs: int, method_lhs: str, method_rhs: str) -> dict:
@@ -70,28 +73,36 @@ DEFAULT_GRID = dict(n_values=range(2, 7), m_values=(1, 2), l_values=(0, 1, 2))
 # tiling-level identities
 
 
-def check_factorization(specs: Sequence[RegionSpec]) -> list[dict]:
-    """plain = hsym * vsym, all three by the tiler."""
+def _factorization(specs: Sequence[RegionSpec], identity: str) -> list[dict]:
+    """plain = hsym * vsym per spec, recorded under the given identity."""
     out = []
     for spec in specs:
         region = build_region(spec)
         total = tiler.count_plain(region)
         hs = tiler.count_hsym(region)
         vs = tiler.count_vsym(region)
-        out.append(
-            record(spec.text(), "factorization", total, hs * vs, "profile-dp", "hsym*vsym")
-        )
+        out.append(record(spec.text(), identity, total, hs * vs, "profile-dp", "hsym*vsym"))
     return out
 
 
-def check_halves(specs: Sequence[RegionSpec], filter_limit: int = FILTER_LIMIT) -> list[dict]:
+def check_factorization(specs: Sequence[RegionSpec]) -> list[dict]:
+    """plain = hsym * vsym, all three by the tiler."""
+    return _factorization(specs, "factorization")
+
+
+def check_rhombus_factorization(specs: Sequence[RegionSpec]) -> list[dict]:
+    """The factorization on regions with a central rhombus hole."""
+    return _factorization(specs, "rhombus-factorization")
+
+
+def check_halves(specs: Sequence[RegionSpec]) -> list[dict]:
     """The two cut equivalences, tested by definition (enumeration filter)
     against the half-region counts, on every instance small enough to
     enumerate."""
     out = []
     for spec in specs:
         region = build_region(spec)
-        if tiler.count_plain(region) > filter_limit:
+        if not tiler.enumerable(region, tiler.count_plain(region), tiler.FILTER_LIMIT):
             continue
         hs_filter = tiler.count_hsym(region, method="filter")
         hs_half = tiler.count_plain(upper_half(region))
@@ -141,20 +152,6 @@ def check_pfaffian_determinant(specs: Sequence[RegionSpec]) -> list[dict]:
         out.append(record(s, "pfaffian-eq-det", pf, det, "signed-pfaffian", "determinant"))
         out.append(record(s, "pfaffian-eq-tiler", pf, free, "signed-pfaffian", "profile-dp"))
         out.append(record(s, "det-eq-tiler", det, w2, "determinant", "profile-dp"))
-    return out
-
-
-def check_rhombus_factorization(specs: Sequence[RegionSpec]) -> list[dict]:
-    """The factorization on regions with a central rhombus hole."""
-    out = []
-    for spec in specs:
-        region = build_region(spec)
-        total = tiler.count_plain(region)
-        hs = tiler.count_hsym(region)
-        vs = tiler.count_vsym(region)
-        out.append(
-            record(spec.text(), "rhombus-factorization", total, hs * vs, "profile-dp", "hsym*vsym")
-        )
     return out
 
 
@@ -218,7 +215,7 @@ def check_contiguity(cases: Sequence[tuple[int, int, int]] = ((4, 1, 1), (6, 1, 
 # matrix-level identities
 
 
-def check_skew_matrix(specs: Sequence[RegionSpec], family_cap: int = 2_000_000) -> list[dict]:
+def check_skew_matrix(specs: Sequence[RegionSpec]) -> list[dict]:
     """The closed-form skew matrix against the generic double-sum matrix,
     and (on tiny instances) the signed Pfaffian against brute-forced
     families, including the all-signs-equal claim."""
@@ -242,7 +239,7 @@ def check_skew_matrix(specs: Sequence[RegionSpec], family_cap: int = 2_000_000) 
         )
         if spec.n <= 3 and spec.m + spec.l <= 3:
             fam = paths.brute_force_endline_families(
-                starts, paths.cut_line_points(spec), cap=family_cap
+                starts, paths.cut_line_points(spec), cap=FAMILY_CAP
             )
             pf = pfaffian_elimination(closed)
             out.append(
@@ -262,7 +259,7 @@ def check_skew_matrix(specs: Sequence[RegionSpec], family_cap: int = 2_000_000) 
     return out
 
 
-def check_lgv_matrix(specs: Sequence[RegionSpec], family_cap: int = 2_000_000) -> list[dict]:
+def check_lgv_matrix(specs: Sequence[RegionSpec]) -> list[dict]:
     """The closed-form LGV matrix against per-entry path generating
     functions, and (tiny instances) its determinant against brute-forced
     diagonal-confined weighted families."""
@@ -274,7 +271,7 @@ def check_lgv_matrix(specs: Sequence[RegionSpec], family_cap: int = 2_000_000) -
         closed = paths.diagonal_lgv_matrix(spec)
         starts = paths.diagonal_start_points(spec)
         ends = paths.diagonal_end_points(spec)
-        generic = paths.lgv_matrix(starts, ends, weight="diagonal2")
+        generic = paths.lgv_matrix(starts, ends)
         out.append(
             record(
                 s,
@@ -286,7 +283,7 @@ def check_lgv_matrix(specs: Sequence[RegionSpec], family_cap: int = 2_000_000) -
             )
         )
         if spec.n <= 3 and spec.m + spec.l <= 3:
-            fam = paths.brute_force_fixed_families(starts, ends, diagonal=True, cap=family_cap)
+            fam = paths.brute_force_fixed_families(starts, ends, diagonal=True, cap=FAMILY_CAP)
             out.append(
                 record(
                     s,
@@ -385,22 +382,20 @@ def check_reduction_chain(specs: Sequence[RegionSpec]) -> list[dict]:
 # closed forms
 
 
-def check_box_product(
-    brute_bound: int = 2, formula_bound: int = 3
-) -> list[dict]:
+def check_box_product() -> list[dict]:
     """Total = transpose-complementary * symmetric for the 2a x b x b box:
-    by formulas up to formula_bound, and against all three tiler counts up
-    to brute_bound."""
+    by formulas for a, b <= 3, and against all three tiler counts for
+    a, b <= 2."""
     out = []
-    for a in range(1, formula_bound + 1):
-        for b in range(1, formula_bound + 1):
+    for a in range(1, 4):
+        for b in range(1, 4):
             n1 = closedforms.box_tilings(2 * a, b, b)
             n6 = closedforms.transpose_complement_box_tilings(a, b)
             n2 = closedforms.symmetric_box_tilings(b, 2 * a)
             out.append(
                 record(f"box 2a={2*a} b={b}", "box-product", n1, n6 * n2, "total formula", "tc*sym formulas")
             )
-            if a <= brute_bound and b <= brute_bound:
+            if a <= 2 and b <= 2:
                 region = build_hexagon(b, a)
                 s = f"box 2a={2*a} b={b}"
                 out.append(
@@ -433,7 +428,7 @@ def check_box_product(
 # oracle coherence and polynomial profile
 
 
-def check_oracles(specs: Sequence[RegionSpec], enum_limit: int = 50_000) -> list[dict]:
+def check_oracles(specs: Sequence[RegionSpec]) -> list[dict]:
     """Profile DP against exhaustive enumeration wherever enumeration is
     feasible, for the full region and its free half."""
     out = []
@@ -441,13 +436,13 @@ def check_oracles(specs: Sequence[RegionSpec], enum_limit: int = 50_000) -> list
         region = build_region(spec)
         dp = tiler.count_plain(region)
         s = spec.text()
-        if dp <= enum_limit:
+        if tiler.enumerable(region, dp, ENUM_LIMIT):
             out.append(
                 record(s, "dp-eq-enumeration", dp, tiler.count_via_enumeration(region), "profile-dp", "enumeration")
             )
         half = left_half_free(region)
         dp_free = tiler.count_free(half)
-        if dp_free <= enum_limit:
+        if tiler.enumerable(half, dp_free, ENUM_LIMIT):
             out.append(
                 record(
                     s,
@@ -460,7 +455,7 @@ def check_oracles(specs: Sequence[RegionSpec], enum_limit: int = 50_000) -> list
             )
         lower = lower_half_weighted(region)
         dp_w2 = tiler.count_weighted2(lower)
-        if tiler.count_plain(lower) <= enum_limit:
+        if tiler.enumerable(lower, tiler.count_plain(lower), ENUM_LIMIT):
             out.append(
                 record(
                     s,
@@ -522,70 +517,47 @@ def check_polynomial(cases: Sequence[tuple[int, int, int]] = ((2, 1, 6), (4, 1, 
 # suite registry
 
 
-def _grid(**over) -> list[RegionSpec]:
-    params = dict(DEFAULT_GRID)
-    params.update(over)
-    return iter_specs(**params)
+RHOMBUS_BOUNDS = dict(n_values=(2, 4), l_values=(0, 1), x_values=(1, 2, 3))
+AXIS_SPLIT_BOUNDS = dict(n_values=(2,), m_values=(1,), l_values=(0,), x_values=(1, 2))
+
+
+def _specs(grid: dict, **fallback) -> list[RegionSpec]:
+    """Specs over the default bounds overridden by grid; a suite's fallback
+    bounds override them as well when grid names no x values."""
+    bounds = {**DEFAULT_GRID, **grid}
+    if "x_values" not in grid:
+        bounds.update(fallback)
+    return iter_specs(**bounds)
+
+
+# Suite name -> runner(grid, trials, seed), in `verify all` order.  The
+# runners look each check_* function up when called, so a check rebound
+# on this module (as by a tracer) is the one that runs.
+SUITES = {
+    "factorization": lambda grid, trials, seed: check_factorization(_specs(grid)),
+    "halves": lambda grid, trials, seed: check_halves(_specs(grid)),
+    "weighted-split": lambda grid, trials, seed: check_weighted_split(_specs(grid)),
+    "pfaffian-determinant": lambda grid, trials, seed: check_pfaffian_determinant(_specs(grid)),
+    "skew-matrix": lambda grid, trials, seed: check_skew_matrix(_specs(grid)),
+    "lgv-matrix": lambda grid, trials, seed: check_lgv_matrix(_specs(grid)),
+    "reduction": lambda grid, trials, seed: check_reduction(trials=trials, seed=seed),
+    "reduction-chain": lambda grid, trials, seed: check_reduction_chain(_specs(grid)),
+    "rhombus-factorization": lambda grid, trials, seed: check_rhombus_factorization(
+        _specs(grid, **RHOMBUS_BOUNDS)
+    ),
+    "axis-split": lambda grid, trials, seed: check_axis_split(
+        [spec for spec in _specs(grid, **AXIS_SPLIT_BOUNDS) if not spec.holes]
+    ),
+    "box-product": lambda grid, trials, seed: check_box_product(),
+    "contiguity": lambda grid, trials, seed: check_contiguity(),
+    "oracles": lambda grid, trials, seed: check_oracles(_specs(grid)),
+    "polynomial": lambda grid, trials, seed: check_polynomial(),
+}
 
 
 def run_suite(name: str, *, grid: dict | None = None, trials: int = 200, seed: int = 7) -> list[dict]:
     """Run one named suite.  grid overrides the default instance bounds
     where a suite takes a grid."""
-    bounds = dict(DEFAULT_GRID)
-    if grid:
-        bounds.update(grid)
-    specs = iter_specs(**bounds)
-    if name == "factorization":
-        return check_factorization(specs)
-    if name == "halves":
-        return check_halves(specs)
-    if name == "weighted-split":
-        return check_weighted_split(specs)
-    if name == "pfaffian-determinant":
-        return check_pfaffian_determinant(specs)
-    if name == "skew-matrix":
-        return check_skew_matrix(specs)
-    if name == "lgv-matrix":
-        return check_lgv_matrix(specs)
-    if name == "reduction":
-        return check_reduction(trials=trials, seed=seed)
-    if name == "reduction-chain":
-        return check_reduction_chain(specs)
-    if name == "rhombus-factorization":
-        if grid is None or "x_values" not in grid:
-            bounds.update(n_values=(2, 4), l_values=(0, 1), x_values=(1, 2, 3))
-            specs = iter_specs(**bounds)
-        return check_rhombus_factorization(specs)
-    if name == "axis-split":
-        if grid is None or "x_values" not in grid:
-            specs = [RegionSpec(2, 1, (), 1), RegionSpec(2, 1, (), 2)]
-        else:
-            specs = [s for s in specs if not s.holes]
-        return check_axis_split(specs)
-    if name == "box-product":
-        return check_box_product()
-    if name == "contiguity":
-        return check_contiguity()
-    if name == "oracles":
-        return check_oracles(specs)
-    if name == "polynomial":
-        return check_polynomial()
-    raise ValueError(f"unknown suite {name!r}")
-
-
-SUITE_NAMES = (
-    "factorization",
-    "halves",
-    "weighted-split",
-    "pfaffian-determinant",
-    "skew-matrix",
-    "lgv-matrix",
-    "reduction",
-    "reduction-chain",
-    "rhombus-factorization",
-    "axis-split",
-    "box-product",
-    "contiguity",
-    "oracles",
-    "polynomial",
-)
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name](grid or {}, trials, seed)

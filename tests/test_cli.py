@@ -99,3 +99,37 @@ def test_csv_format(capsys):
 def test_bad_spec_exits_nonzero(capsys):
     code = main(["count", "n=2"])
     assert code == 2
+
+
+@pytest.mark.parametrize("cls", ["full", "hsym", "vsym", "free-left", "weighted-lower"])
+def test_count_over_triangle_cap_uses_dp(capsys, cls):
+    # one tiling, but 240 triangles: over the enumeration cap of 200
+    code, out = run(capsys, "count", "n=10", "m=1", "k=1,2,3,4,5", "--class", cls)
+    rec = json.loads(out)
+    assert code == 0 and rec["pass"] is True
+    assert rec["value"] == "1"
+    if cls in ("full", "hsym", "vsym"):
+        assert rec["crosscheck"] == "skipped"
+
+
+def test_verify_over_triangle_cap(capsys):
+    code, out = run(capsys, "verify", "factorization", "--grid", "n=10", "m=1", "l=5")
+    assert code == 0
+    assert json.loads(out)["lhs"] == "1"
+
+
+def test_exceeded_cap_exits_2(capsys, monkeypatch):
+    # the flag writes the cap into os.environ; setenv restores it afterwards
+    monkeypatch.setenv("HEXHOLES_DP_WIDTH_CAP", "64")
+    code = main(["count", "n=4", "m=1", "--dp-width-cap", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_polycheck_rejects_holes(capsys):
+    code = main(["polycheck", "n=2", "m=1", "k=1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: polycheck takes a plain hexagon spec")

@@ -4,12 +4,8 @@ import pytest
 
 from hexholes.closedforms import (
     box_tilings,
-    hexagon_hsym,
-    hexagon_total,
-    hexagon_vsym,
     symmetric_box_tilings,
     transpose_complement_box_tilings,
-    verify_box_product,
 )
 from hexholes.regions import build_hexagon
 from hexholes.tiler import count_hsym, count_plain, count_vsym
@@ -36,9 +32,9 @@ def test_box_tilings_rejects_negative():
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_formulas_match_tiler(n, m):
     region = build_hexagon(n, m)
-    assert hexagon_total(n, m) == count_plain(region)
-    assert hexagon_vsym(n, m) == count_vsym(region)
-    assert hexagon_hsym(n, m) == count_hsym(region)
+    assert box_tilings(2 * m, n, n) == count_plain(region)
+    assert symmetric_box_tilings(n, 2 * m) == count_vsym(region)
+    assert transpose_complement_box_tilings(m, n) == count_hsym(region)
 
 
 def test_symmetric_box_small_values():
@@ -56,4 +52,6 @@ def test_transpose_complement_small_values():
 def test_box_product_identity_formula_grid():
     for a in range(1, 4):
         for b in range(1, 4):
-            assert verify_box_product(a, b)
+            assert box_tilings(2 * a, b, b) == (
+                transpose_complement_box_tilings(a, b) * symmetric_box_tilings(b, 2 * a)
+            )

@@ -4,10 +4,8 @@ from hexholes.intlinalg import determinant, pfaffian_elimination
 from hexholes.paths import (
     brute_force_endline_families,
     brute_force_fixed_families,
-    count_free_by_families,
     count_free_via_pfaffian,
     count_left_piece_via_det,
-    count_weighted2_by_families,
     count_weighted2_via_det,
     cut_line_points,
     diagonal_end_points,
@@ -93,9 +91,7 @@ def test_seed_lgv_matrix_and_det():
 def test_lgv_entries_are_reflection_gfs():
     for spec in iter_specs(range(1, 5), (1, 2), (0, 1, 2)):
         closed = diagonal_lgv_matrix(spec)
-        generic = lgv_matrix(
-            diagonal_start_points(spec), diagonal_end_points(spec), weight="diagonal2"
-        )
+        generic = lgv_matrix(diagonal_start_points(spec), diagonal_end_points(spec))
         assert closed.rows == generic.rows, spec.text()
 
 
@@ -151,10 +147,14 @@ def test_crossing_forced_family_is_zero():
 
 def test_brute_force_families_match_formulas():
     for spec in [RegionSpec(2, 1, (1,)), RegionSpec(3, 1, (1,)), RegionSpec(2, 2)]:
-        fam = count_free_by_families(spec)
+        starts = [start_point(spec, lab) for lab in endpoint_labels(spec)]
+        fam = brute_force_endline_families(starts, cut_line_points(spec))
         assert fam.total == count_free_via_pfaffian(spec), spec.text()
         assert fam.signs <= {hole_sign(spec.l)}
-        assert count_weighted2_by_families(spec) == count_weighted2_via_det(spec)
+        weighted = brute_force_fixed_families(
+            diagonal_start_points(spec), diagonal_end_points(spec), diagonal=True
+        )
+        assert weighted == count_weighted2_via_det(spec)
 
 
 def test_left_piece_determinants_match_tiler():

@@ -8,7 +8,6 @@ from hexholes.regions import (
     build_region,
     left_half_free,
     lower_half_weighted,
-    punch_central_rhombus,
     punch_holes,
     punch_symmetric_triangle_pair,
     upper_half,
@@ -42,14 +41,17 @@ def test_spec_text_round_trip():
         RegionSpec.parse("n=2 m=1 q=5")
 
 
+def _up_count(region):
+    return sum(1 for t in region.triangles if region.is_up(t))
+
+
 @pytest.mark.parametrize(
     "n, m, count", [(1, 1, 10), (2, 1, 24), (15, 5, 1050), (6, 2, 168)]
 )
 def test_hexagon_triangle_count(n, m, count):
     region = build_hexagon(n, m)
     assert len(region.triangles) == 2 * n * n + 8 * m * n == count
-    ups, downs = region.balance()
-    assert ups == downs
+    assert _up_count(region) * 2 == count
 
 
 def test_hexagon_symmetries_are_involutions():
@@ -57,14 +59,14 @@ def test_hexagon_symmetries_are_involutions():
     for t in region.triangles:
         assert region.reflect_h(region.reflect_h(t)) == t
         assert region.reflect_v(region.reflect_v(t)) == t
-    assert region.is_symmetric_h() and region.is_symmetric_v()
+    assert region.is_symmetric(region.reflect_h) and region.is_symmetric(region.reflect_v)
 
 
 def test_punch_holes_counts():
     region = punch_holes(build_hexagon(15, 5), (2, 5, 7))
     # 2l side-2 triangles, 4 unit cells each
     assert len(region.triangles) == 1050 - 24
-    assert region.is_symmetric_h() and region.is_symmetric_v()
+    assert region.is_symmetric(region.reflect_h) and region.is_symmetric(region.reflect_v)
     assert len(region.axis_positions()) == 15 - 6
 
     small = punch_holes(build_hexagon(2, 1), (1,))
@@ -99,23 +101,20 @@ def test_hole_orientation_balance():
     ups = sum(1 for t in cells if hexagon.is_up(t))
     assert ups == 3  # one inverted cell per side-2 triangle
     region = punch_holes(hexagon, (1,))
-    ups, downs = region.balance()
-    assert ups == downs
+    assert _up_count(region) * 2 == len(region.triangles)
 
 
-def test_punch_central_rhombus_counts():
+def test_central_rhombus_counts():
     spec = RegionSpec(2, 1, (), 2)
-    region = punch_central_rhombus(spec)
+    region = build_region(spec)
     assert len(region.triangles) == 2 * 16 + 8 * 4 - 8 == 56
-    assert region.is_symmetric_h() and region.is_symmetric_v()
+    assert region.is_symmetric(region.reflect_h) and region.is_symmetric(region.reflect_v)
 
-    # x = 0 falls back to the plain punched hexagon
-    assert punch_central_rhombus(RegionSpec(4, 1, (1,))) == build_region(
-        RegionSpec(4, 1, (1,))
-    )
+    # x = 0 is the plain punched hexagon
+    assert build_region(RegionSpec(4, 1, (1,))) == punch_holes(build_hexagon(4, 1), (1,))
 
     # outer frame side is n + x
-    big = punch_central_rhombus(RegionSpec(8, 5, (), 7))
+    big = build_region(RegionSpec(8, 5, (), 7))
     assert big.side == 15
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexholes.closedforms import box_tilings
 from hexholes.regions import (
@@ -13,12 +14,9 @@ from hexholes.regions import (
 from hexholes.tiler import (
     EnumerationCapExceeded,
     axis_cut_positions,
-    bisected_axis_tiles,
     count_free,
     count_hsym,
     count_plain,
-    count_profile_dp,
-    count_report,
     count_via_enumeration,
     count_vsym,
     count_weighted2,
@@ -65,13 +63,12 @@ def test_counts_match_box_formula(n, m):
     expected = box_tilings(2 * m, n, n)
     assert count_plain(region) == expected
     assert count_via_enumeration(region) == expected
-    assert count_profile_dp(region) == expected
 
 
 def test_dp_matches_enumeration_on_punched_regions():
     for spec in iter_specs(range(1, 5), (1,), (0, 1, 2)):
         region = build_region(spec)
-        assert count_profile_dp(region) == count_via_enumeration(region)
+        assert count_plain(region) == count_via_enumeration(region)
         half = left_half_free(region)
         assert count_free(half) == count_via_enumeration(half)
         lower = lower_half_weighted(region)
@@ -107,8 +104,14 @@ def test_symmetric_tilings_cover_axis_positions():
 def test_every_tiling_bisects_n_lozenges():
     spec = RegionSpec(2, 1, (), 1)
     region = build_region(spec)
+    cut_row = region.side - 1
     for tiling in enumerate_tilings(region):
-        assert bisected_axis_tiles(region, tiling) == spec.n
+        bisected = [
+            tile
+            for tile in tiling
+            if len(tile) == 2 and tile[0][0] == cut_row and tile[1][0] == cut_row + 1
+        ]
+        assert len(bisected) == spec.n
 
 
 def test_split_by_axis_counts():
@@ -134,19 +137,23 @@ def test_left_piece_regions():
     assert all(t[0] < region.side for t in piece.triangles)
 
 
-def test_count_report_fields():
-    report = count_report(RegionSpec(2, 1, (1,)))
-    assert (report.plain, report.hsym, report.vsym, report.free, report.weighted2) == (
-        1,
-        1,
-        1,
-        1,
-        1,
+def _five_counts(spec):
+    region = build_region(spec)
+    return (
+        count_plain(region),
+        count_hsym(region),
+        count_vsym(region),
+        count_free(left_half_free(region)),
+        count_weighted2(lower_half_weighted(region)),
     )
-    report = count_report(RegionSpec(2, 1))
-    assert report.plain == report.hsym * report.vsym == 20
-    assert report.vsym == report.free == 10
-    assert report.weighted2 == 10
+
+
+def test_five_counts_of_small_regions():
+    assert _five_counts(RegionSpec(2, 1, (1,))) == (1, 1, 1, 1, 1)
+    plain, hsym, vsym, free, weighted2 = _five_counts(RegionSpec(2, 1))
+    assert plain == hsym * vsym == 20
+    assert vsym == free == 10
+    assert weighted2 == 10
 
 
 def test_factorization_with_weighted_half():
@@ -156,3 +163,26 @@ def test_factorization_with_weighted_half():
         lhs = count_plain(region)
         rhs = count_plain(upper_half(region)) * count_weighted2(lower_half_weighted(region))
         assert lhs == rhs, spec.text()
+
+
+@st.composite
+def small_specs(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 2))
+    holes = tuple(k for k in range(1, n // 2 + 1) if draw(st.booleans()))
+    x = draw(st.integers(0, 2)) if n % 2 == 0 else 0
+    return RegionSpec(n, m, holes, x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_specs())
+def test_engines_agree_on_random_small_regions(spec):
+    region = build_region(spec)
+    assert region.is_symmetric(region.reflect_h)
+    assert region.is_symmetric(region.reflect_v)
+    plain = count_plain(region)
+    if plain > 5000:
+        return
+    assert plain == count_via_enumeration(region)
+    assert count_hsym(region, method="filter") == count_hsym(region, method="half")
+    assert count_vsym(region, method="filter") == count_vsym(region, method="half")
