@@ -11,6 +11,7 @@ bad input or an exceeded cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -71,11 +72,23 @@ def emit(records: list[dict], fmt: str, out=None) -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _apply_cap_flags(args) -> None:
-    if getattr(args, "enum_cap", None) is not None:
-        os.environ["HEXHOLES_ENUM_CAP"] = str(args.enum_cap)
-    if getattr(args, "dp_width_cap", None) is not None:
-        os.environ["HEXHOLES_DP_WIDTH_CAP"] = str(args.dp_width_cap)
+@contextlib.contextmanager
+def _cap_flags(args):
+    """Hand --enum-cap / --dp-width-cap to the engines through their
+    environment variables for one command, then restore the variables."""
+    saved = {}
+    for var, value in (("HEXHOLES_ENUM_CAP", args.enum_cap), ("HEXHOLES_DP_WIDTH_CAP", args.dp_width_cap)):
+        if value is not None:
+            saved[var] = os.environ.get(var)
+            os.environ[var] = str(value)
+    try:
+        yield
+    finally:
+        for var, old in saved.items():
+            if old is None:
+                del os.environ[var]
+            else:
+                os.environ[var] = old
 
 
 # ---------------------------------------------------------------------------
@@ -83,21 +96,21 @@ def _apply_cap_flags(args) -> None:
 
 
 def cmd_count(args) -> int:
-    _apply_cap_flags(args)
     spec = RegionSpec.parse(" ".join(args.spec))
     region = build_region(spec)
     cls = args.cls
     crosscheck = "skipped"
     if cls == "full":
         value = tiler.count_plain(region)
-        method = "profile-dp"
+        method = "kasteleyn-det"
         if tiler.enumerable(region, value, args.crosscheck_limit):
             crosscheck = "ok" if tiler.count_via_enumeration(region) == value else "MISMATCH"
     elif cls in ("hsym", "vsym"):
         counter = tiler.count_hsym if cls == "hsym" else tiler.count_vsym
         small = tiler.enumerable(region, tiler.count_plain(region), args.crosscheck_limit)
         value = counter(region, method="filter" if small else "half")
-        method = "enumeration-filter" if small else "half-region profile-dp"
+        half_engine = "kasteleyn-det" if cls == "hsym" else "profile-dp"
+        method = "enumeration-filter" if small else f"half-region {half_engine}"
         if small:
             crosscheck = "ok" if counter(region, method="half") == value else "MISMATCH"
     elif cls == "free-left":
@@ -133,7 +146,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _apply_cap_flags(args)
     grid = parse_grid(" ".join(args.grid)) if args.grid else None
     names = list(verify.SUITES) if args.target == "all" else [args.target]
     failures = 0
@@ -145,7 +157,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_polycheck(args) -> int:
-    _apply_cap_flags(args)
     spec = RegionSpec.parse(" ".join(args.spec))
     if spec.holes or spec.central_x:
         raise ValueError("polycheck takes a plain hexagon spec (n=.. m=..)")
@@ -166,7 +177,6 @@ def cmd_polycheck(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    _apply_cap_flags(args)
     failures = 0
     for name in verify.SUITES:
         started = time.time()
@@ -232,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _cap_flags(args):
+            return args.func(args)
     except (ValueError, CapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

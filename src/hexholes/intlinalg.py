@@ -2,10 +2,12 @@
 
 Everything runs on Python's arbitrary-precision integers; nothing is ever
 rounded.  Determinants use fraction-free (Bareiss) elimination so that all
-intermediate values stay integral.  Pfaffians come in two flavours: a
-perfect-matching expansion that serves as an oracle on small inputs, and an
-exact-rational elimination that scales; the test suite checks the two
-against each other and against det = Pf^2.
+intermediate values stay integral; large sparse matrices are eliminated
+modulo a prime instead (`det_mod_sparse`), which is exact once the caller
+picks a prime above twice a bound on the determinant.  Pfaffians come in
+two flavours: a perfect-matching expansion that serves as an oracle on
+small inputs, and an exact-rational elimination that scales; the test
+suite checks the two against each other and against det = Pf^2.
 
 Matrices carry explicit row/column labels (integers, or tag strings such as
 "2-" / "2+") so callers can address entries by the same index sets that
@@ -15,9 +17,10 @@ define them.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 Label = Hashable
 
@@ -329,3 +332,57 @@ def determinant(a: LabeledMatrix) -> int:
     if a.nrows <= 4:
         return det_cofactor(a.rows)
     return _det_bareiss(a.rows)
+
+
+def det_mod_sparse(rows: Sequence[Mapping[int, int]], prime: int) -> int:
+    """Determinant modulo a prime of the square matrix whose r-th row maps
+    column -> entry (absent entries are zero), in [0, prime).
+
+    Eliminates column by column; the pivot for a column is the remaining
+    row with the fewest entries that holds it, which keeps the fill-in of
+    banded matrices near the band.
+    """
+    n = len(rows)
+    rows = [{c: v % prime for c, v in row.items() if v % prime} for row in rows]
+    holders: dict[int, set[int]] = defaultdict(set)  # column -> non-pivot rows holding it
+    for r, row in enumerate(rows):
+        for c in row:
+            holders[c].add(r)
+    det = 1
+    pivot_rows = []
+    for c in range(n):
+        candidates = holders.pop(c, None)
+        if not candidates:
+            return 0
+        r = min(candidates, key=lambda s: (len(rows[s]), s))
+        candidates.discard(r)
+        pivot = rows[r]
+        value = pivot.pop(c)
+        for cc in pivot:
+            holders[cc].discard(r)
+        det = det * value % prime
+        inverse = pow(value, -1, prime)
+        for s in candidates:
+            row = rows[s]
+            factor = row.pop(c) * inverse % prime
+            for cc, v in pivot.items():
+                new = (row.get(cc, 0) - factor * v) % prime
+                if new:
+                    if cc not in row:
+                        holders[cc].add(s)
+                    row[cc] = new
+                elif cc in row:
+                    del row[cc]
+                    holders[cc].discard(s)
+        pivot_rows.append(r)
+    # the pivots sit on the diagonal once row pivot_rows[c] moves to row c
+    seen = [False] * n
+    odd = False
+    for start in range(n):
+        c, length = start, 0
+        while not seen[c]:
+            seen[c] = True
+            c = pivot_rows[c]
+            length += 1
+        odd ^= length > 0 and length % 2 == 0  # a cycle of length L is L - 1 swaps
+    return (prime - det) % prime if odd else det

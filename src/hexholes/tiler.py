@@ -1,9 +1,19 @@
 """Ground-truth lozenge-tiling counts.
 
-Two independent engines: exhaustive backtracking enumeration (the oracle,
-capped) and a row-profile dynamic program that scales to desk-size regions.
-Both honor free boundaries (half lozenges) and half-weight axis positions,
-and both work on arbitrary-precision integers throughout.
+Three engines, each serving one kind of count, all on arbitrary-precision
+integers:
+
+* the Kasteleyn determinant (`count_plain`): a tiling is a perfect matching
+  between the region's up and down triangles, so the plain count is
+  |det K| for a Kasteleyn-signed up/down adjacency matrix K.  Sparse exact
+  elimination makes it polynomial in the region size.
+* the row-profile dynamic program (`count_free`, `count_weighted2`): it
+  honors free boundaries (half lozenges) and half-weight axis positions,
+  which the determinant does not; it is exponential in the row width.
+  With no free edges it counts plain tilings, which makes it the tests'
+  oracle for the determinant.
+* exhaustive backtracking enumeration (the oracle, capped): it also serves
+  the symmetry filter, which keeps the tilings fixed by a reflection.
 
 A tile is a sorted tuple of one or two triangles: two for a lozenge, one
 for a half lozenge protruding across a free edge.  A tiling is a frozenset
@@ -12,11 +22,13 @@ of tiles covering every triangle of the region exactly once.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import defaultdict
 from itertools import combinations
 from typing import Callable, Iterator
 
+from .intlinalg import det_mod_sparse
 from .regions import (
     CapExceeded,
     Region,
@@ -35,6 +47,8 @@ DEFAULT_TRIANGLE_CAP = 200
 DEFAULT_DP_WIDTH_CAP = 64
 # most tilings the symmetry filter enumerates before "auto" counts halves
 FILTER_LIMIT = 20_000
+# Mersenne primes the Kasteleyn determinant is reduced modulo, smallest first
+KASTELEYN_PRIMES = tuple(2**e - 1 for e in (521, 1279, 2203, 4423))
 
 
 class EnumerationCapExceeded(CapExceeded):
@@ -157,14 +171,19 @@ def map_tiling(tiling: Tiling, point_map: Callable[[Triangle], Triangle]) -> Til
 # row-profile dynamic program
 
 
+def _check_width(region: Region) -> None:
+    """Both row-sweep engines refuse frames with rows wider than the cap."""
+    width_cap = dp_width_cap_default()
+    for i in range(region.num_rows):
+        if region.row_len(i) > width_cap:
+            raise WidthCapExceeded(f"row {i} wider than {width_cap}")
+
+
 def _profile_dp(region: Region, use_free: bool, weighted: bool) -> int:
     """Sweep rows top to bottom; a state is the bitmask of positions in the
     next row already covered by vertical lozenges from the current row."""
-    width_cap = dp_width_cap_default()
+    _check_width(region)
     rows = region.num_rows
-    for i in range(rows):
-        if region.row_len(i) > width_cap:
-            raise WidthCapExceeded(f"row {i} wider than {width_cap}")
     states: dict[int, int] = {0: 1}
     for i in range(rows):
         width = region.row_len(i)
@@ -199,11 +218,6 @@ def _profile_dp(region: Region, use_free: bool, weighted: bool) -> int:
     return states.get(0, 0)
 
 
-def count_plain(region: Region) -> int:
-    """Number of lozenge tilings (no half lozenges, no weights)."""
-    return _profile_dp(region, use_free=False, weighted=False)
-
-
 def count_free(region: Region) -> int:
     """Tilings with half lozenges allowed on the region's free edges."""
     return _profile_dp(region, use_free=True, weighted=False)
@@ -213,6 +227,107 @@ def count_weighted2(region: Region) -> int:
     """The integer 2^(#specials) * (half-weight count): every special axis
     position not covered by its horizontal lozenge contributes a factor 2."""
     return _profile_dp(region, use_free=False, weighted=True)
+
+
+# ---------------------------------------------------------------------------
+# Kasteleyn determinant
+
+
+def _corners(region: Region, t: Triangle) -> tuple[tuple[int, int], ...]:
+    """Lattice points of t's three corners as (doubled x, line): row i lies
+    between lines i and i + 1, and each row starts half a unit left of the
+    longer of its two lines."""
+    i, p = t
+    left = p - (region.row_len(i) + 1) // 2
+    if region.is_up(t):
+        return ((left, i + 1), (left + 2, i + 1), (left + 1, i))
+    return ((left, i), (left + 2, i), (left + 1, i + 1))
+
+
+def _defect_line(region: Region) -> set[Triangle]:
+    """Up triangles whose vertical edge the Kasteleyn signing negates.
+
+    With every edge weighted +1, a face of the honeycomb graph satisfies
+    Kasteleyn's cycle rule exactly when it encloses an even number of
+    missing triangles.  The missing frame triangles, grouped by shared
+    corners, are the faces left by the holes.  For each one of odd size, a
+    line runs from its lowest row's rightmost cell along that row's bottom
+    edge to the frame, crossing the vertical edges of the up triangles to
+    its right.  Negating those edges flips every cycle around the hole and
+    leaves every other face's parity unchanged; where two lines cross the
+    same edge, they cancel.  Holes reaching the frame's last row are part
+    of the outer face and need no line.
+    """
+    missing = [
+        (i, p)
+        for i in range(region.num_rows)
+        for p in range(region.row_len(i))
+        if (i, p) not in region.triangles
+    ]
+    parent = {t: t for t in missing}
+
+    def root(t: Triangle) -> Triangle:
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    first_at: dict[tuple[int, int], Triangle] = {}
+    for t in missing:
+        for corner in _corners(region, t):
+            parent[root(first_at.setdefault(corner, t))] = root(t)
+    holes: dict[Triangle, list[Triangle]] = defaultdict(list)
+    for t in missing:
+        holes[root(t)].append(t)
+    flipped: set[Triangle] = set()
+    for cells in holes.values():
+        low = max(i for i, _ in cells)
+        if len(cells) % 2 == 0 or low == region.num_rows - 1:
+            continue
+        right = max(p for i, p in cells if i == low)
+        flipped ^= {
+            (low, p) for p in range(right + 1, region.row_len(low)) if region.is_up((low, p))
+        }
+    return flipped
+
+
+def count_plain(region: Region) -> int:
+    """Number of lozenge tilings (no half lozenges, no weights), as |det K|.
+
+    K has a row per up triangle and a column per down triangle, both in
+    row-major order, so it is banded with width about one frame row.  The
+    determinant is taken modulo the smallest prime of KASTELEYN_PRIMES
+    above twice its Hadamard bound and read back as the symmetric residue,
+    which is exact.
+    """
+    _check_width(region)
+    order = sorted(region.triangles)
+    ups = [t for t in order if region.is_up(t)]
+    column = {t: j for j, t in enumerate(t for t in order if not region.is_up(t))}
+    if len(ups) != len(column):
+        return 0
+    flipped = _defect_line(region)
+    rows = []
+    hadamard_sq = 1  # product of squared row norms; all entries are +-1
+    for t in ups:
+        i, p = t
+        row = {column[d]: 1 for d in ((i, p - 1), (i, p + 1)) if d in column}
+        below = region.vertical_partner(t)
+        if below in column:
+            row[column[below]] = -1 if t in flipped else 1
+        if not row:
+            return 0
+        hadamard_sq *= len(row)
+        rows.append(row)
+    bound = math.isqrt(hadamard_sq) + 1
+    prime = next((q for q in KASTELEYN_PRIMES if q > 2 * bound + 1), None)
+    if prime is None:
+        raise CapExceeded(
+            f"the determinant bound of {bound.bit_length()} bits outgrows the "
+            f"largest modulus (2^{KASTELEYN_PRIMES[-1].bit_length()}-1)"
+        )
+    det = det_mod_sparse(rows, prime)
+    return prime - det if det > prime // 2 else det
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def _factorization(specs: Sequence[RegionSpec], identity: str) -> list[dict]:
         total = tiler.count_plain(region)
         hs = tiler.count_hsym(region)
         vs = tiler.count_vsym(region)
-        out.append(record(spec.text(), identity, total, hs * vs, "profile-dp", "hsym*vsym"))
+        out.append(record(spec.text(), identity, total, hs * vs, "kasteleyn-det", "hsym*vsym"))
     return out
 
 
@@ -107,7 +107,7 @@ def check_halves(specs: Sequence[RegionSpec]) -> list[dict]:
         hs_filter = tiler.count_hsym(region, method="filter")
         hs_half = tiler.count_plain(upper_half(region))
         out.append(
-            record(spec.text(), "sym-eq-upper-half", hs_filter, hs_half, "enumeration-filter", "profile-dp")
+            record(spec.text(), "sym-eq-upper-half", hs_filter, hs_half, "enumeration-filter", "kasteleyn-det")
         )
         vs_filter = tiler.count_vsym(region, method="filter")
         vs_half = tiler.count_free(left_half_free(region))
@@ -128,10 +128,10 @@ def check_weighted_split(specs: Sequence[RegionSpec]) -> list[dict]:
         free = tiler.count_free(left_half_free(region))
         w2 = tiler.count_weighted2(lower_half_weighted(region))
         out.append(
-            record(spec.text(), "split-free", total, upper * free, "profile-dp", "upper*free")
+            record(spec.text(), "split-free", total, upper * free, "kasteleyn-det", "upper*free")
         )
         out.append(
-            record(spec.text(), "split-weighted", total, upper * w2, "profile-dp", "upper*weighted2")
+            record(spec.text(), "split-weighted", total, upper * w2, "kasteleyn-det", "upper*weighted2")
         )
     return out
 
@@ -171,7 +171,7 @@ def check_axis_split(specs: Sequence[RegionSpec]) -> list[dict]:
                 sum(c * c for _, c in table),
                 tiler.count_plain(region),
                 "sum of squared piece counts",
-                "profile-dp",
+                "kasteleyn-det",
             )
         )
         out.append(
@@ -399,7 +399,7 @@ def check_box_product() -> list[dict]:
                 region = build_hexagon(b, a)
                 s = f"box 2a={2*a} b={b}"
                 out.append(
-                    record(s, "box-total-eq-tiler", n1, tiler.count_plain(region), "formula", "profile-dp")
+                    record(s, "box-total-eq-tiler", n1, tiler.count_plain(region), "formula", "kasteleyn-det")
                 )
                 out.append(
                     record(
@@ -429,16 +429,17 @@ def check_box_product() -> list[dict]:
 
 
 def check_oracles(specs: Sequence[RegionSpec]) -> list[dict]:
-    """Profile DP against exhaustive enumeration wherever enumeration is
-    feasible, for the full region and its free half."""
+    """The counting engines against exhaustive enumeration wherever
+    enumeration is feasible: the Kasteleyn determinant on the full region,
+    the profile DP on its free and weighted halves."""
     out = []
     for spec in specs:
         region = build_region(spec)
-        dp = tiler.count_plain(region)
+        plain = tiler.count_plain(region)
         s = spec.text()
-        if tiler.enumerable(region, dp, ENUM_LIMIT):
+        if tiler.enumerable(region, plain, ENUM_LIMIT):
             out.append(
-                record(s, "dp-eq-enumeration", dp, tiler.count_via_enumeration(region), "profile-dp", "enumeration")
+                record(s, "dp-eq-enumeration", plain, tiler.count_via_enumeration(region), "kasteleyn-det", "enumeration")
             )
         half = left_half_free(region)
         dp_free = tiler.count_free(half)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -24,7 +25,7 @@ def test_count_plain_hexagon(capsys):
     rec = json.loads(out)
     assert code == 0
     assert rec["value"] == "3"
-    assert rec["method"] == "profile-dp"
+    assert rec["method"] == "kasteleyn-det"
 
 
 def test_count_weighted_lower(capsys):
@@ -119,7 +120,7 @@ def test_verify_over_triangle_cap(capsys):
 
 
 def test_exceeded_cap_exits_2(capsys, monkeypatch):
-    # the flag writes the cap into os.environ; setenv restores it afterwards
+    # main restores the variable the flag sets; see the test below
     monkeypatch.setenv("HEXHOLES_DP_WIDTH_CAP", "64")
     code = main(["count", "n=4", "m=1", "--dp-width-cap", "8"])
     captured = capsys.readouterr()
@@ -133,3 +134,15 @@ def test_polycheck_rejects_holes(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: polycheck takes a plain hexagon spec")
+
+
+@pytest.mark.parametrize("inherited", [None, "64"])
+def test_cap_flags_leave_environment_unchanged(capsys, monkeypatch, inherited):
+    if inherited is None:
+        monkeypatch.delenv("HEXHOLES_DP_WIDTH_CAP", raising=False)
+    else:
+        monkeypatch.setenv("HEXHOLES_DP_WIDTH_CAP", inherited)
+    before = dict(os.environ)
+    assert main(["count", "n=4", "m=1", "--dp-width-cap", "8"]) == 2
+    capsys.readouterr()
+    assert dict(os.environ) == before

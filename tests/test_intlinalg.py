@@ -7,6 +7,7 @@ from hexholes.intlinalg import (
     LabeledMatrix,
     binomial,
     det_cofactor,
+    det_mod_sparse,
     determinant,
     matching_crossings,
     matching_sign,
@@ -128,6 +129,19 @@ def test_determinant_matches_cofactor():
         for _ in range(30):
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             assert determinant(LabeledMatrix.from_rows(rows)) == det_cofactor(rows)
+
+
+def test_det_mod_sparse_matches_bareiss():
+    # mostly-zero matrices, so pivots must be searched for; the small prime
+    # also makes nonzero entries vanish during elimination
+    rng = random.Random(23)
+    for prime in (7, 2**61 - 1):
+        for n in range(0, 8):
+            for _ in range(40):
+                rows = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+                sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+                expected = determinant(LabeledMatrix.from_rows(rows)) if n else 1
+                assert det_mod_sparse(sparse, prime) == expected % prime
 
 
 @given(st.integers(1, 5), st.integers(0, 2**32 - 1))

@@ -1,14 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hexholes import tiler
 from hexholes.closedforms import box_tilings
 from hexholes.regions import (
+    CapExceeded,
     Region,
     RegionSpec,
     build_hexagon,
     build_region,
     left_half_free,
     lower_half_weighted,
+    punch_symmetric_triangle_pair,
     upper_half,
 )
 from hexholes.tiler import (
@@ -181,8 +184,41 @@ def test_engines_agree_on_random_small_regions(spec):
     assert region.is_symmetric(region.reflect_h)
     assert region.is_symmetric(region.reflect_v)
     plain = count_plain(region)
+    # with no free edges the free-boundary profile DP counts plain tilings
+    assert plain == count_free(region)
+    assert count_plain(upper_half(region)) == count_free(upper_half(region))
     if plain > 5000:
         return
     assert plain == count_via_enumeration(region)
     assert count_hsym(region, method="filter") == count_hsym(region, method="half")
     assert count_vsym(region, method="filter") == count_vsym(region, method="half")
+
+
+@pytest.mark.parametrize(
+    "n, m, apex_row, side, expected",
+    [
+        (8, 2, 2, 3, 70132046880),
+        (7, 2, 1, 1, 1850798092),
+        (7, 2, 2, 1, 89894167000),
+    ],
+)
+def test_odd_holes_need_the_defect_line(n, m, apex_row, side, expected):
+    # each hole has an odd number of triangles; with every Kasteleyn weight
+    # +1 the determinant reads 63911795376, 362601668 and 67677846808
+    region = punch_symmetric_triangle_pair(build_hexagon(n, m), apex_row, side)
+    assert count_plain(region) == expected == count_free(region)
+
+
+def test_kasteleyn_at_a_size_the_dp_finds_slow():
+    region = build_region(RegionSpec.parse("n=10 m=3 k=2,4"))
+    assert count_plain(region) == 29680201373126661120  # the profile DP's value
+
+
+def test_kasteleyn_caps(monkeypatch):
+    region = build_hexagon(6, 2)  # its Hadamard bound has 62 bits
+    monkeypatch.setattr(tiler, "KASTELEYN_PRIMES", (2**61 - 1,))
+    with pytest.raises(CapExceeded):
+        count_plain(region)
+    monkeypatch.setenv("HEXHOLES_DP_WIDTH_CAP", "8")
+    with pytest.raises(tiler.WidthCapExceeded):
+        count_plain(build_hexagon(4, 1))
