@@ -113,6 +113,9 @@ def cmd_count(args) -> int:
         method = "enumeration-filter" if small else f"half-region {half_engine}"
         if small:
             crosscheck = "ok" if counter(region, method="half") == value else "MISMATCH"
+        elif cls == "vsym" and not spec.central_x:
+            # the half is the free-left count, which the Pfaffian checks
+            crosscheck = "ok" if paths.count_free_via_pfaffian(spec) == value else "MISMATCH"
     elif cls == "free-left":
         value = tiler.count_free(left_half_free(region))
         method = "profile-dp"

@@ -26,15 +26,26 @@ analogous pair of side-x triangles meeting at the equator.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 Triangle = tuple[int, int]
 
+DEFAULT_DP_WIDTH_CAP = 64
+
 
 class CapExceeded(RuntimeError):
     """A size cap stopped a count or an oracle: the input is too large for
     the current caps, which says nothing about any identity."""
+
+
+class WidthCapExceeded(CapExceeded):
+    pass
+
+
+def dp_width_cap_default() -> int:
+    return int(os.environ.get("HEXHOLES_DP_WIDTH_CAP", DEFAULT_DP_WIDTH_CAP))
 
 
 @dataclass(frozen=True)
@@ -203,11 +214,24 @@ class Region:
 # builders
 
 
+def check_width(region: Region) -> None:
+    """Refuse frames with rows wider than HEXHOLES_DP_WIDTH_CAP; the
+    row-sweep engines and the hexagon builder run it first."""
+    width_cap = dp_width_cap_default()
+    for i in range(region.num_rows):
+        if region.row_len(i) > width_cap:
+            raise WidthCapExceeded(f"row {i} wider than {width_cap}")
+
+
 def build_hexagon(n: int, m: int) -> Region:
-    """The full hexagon with sides n, 2m, n, n, 2m, n (2n^2 + 8mn triangles)."""
+    """The full hexagon with sides n, 2m, n, n, 2m, n (2n^2 + 8mn triangles).
+
+    Both counting engines refuse a frame wider than the width cap, so such
+    a frame is refused here, before its cells are allocated."""
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n} m={m}")
     probe = Region(side=n, m=m, triangles=frozenset())
+    check_width(probe)
     cells = frozenset(
         (i, p) for i in range(2 * n) for p in range(probe.row_len(i))
     )

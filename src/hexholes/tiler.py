@@ -7,11 +7,14 @@ integers:
   between the region's up and down triangles, so the plain count is
   |det K| for a Kasteleyn-signed up/down adjacency matrix K.  Sparse exact
   elimination makes it polynomial in the region size.
-* the row-profile dynamic program (`count_free`, `count_weighted2`): it
+* the broken-profile dynamic program (`count_free`, `count_weighted2`): it
   honors free boundaries (half lozenges) and half-weight axis positions,
-  which the determinant does not; it is exponential in the row width.
-  With no free edges it counts plain tilings, which makes it the tests'
-  oracle for the determinant.
+  which the determinant does not.  It sweeps cell by cell and merges equal
+  partial states after every cell, so its cost is set by the number of
+  merged states per cell, not by the completions of a row; that number
+  can still grow exponentially with the row width.  With no free edges it
+  counts plain tilings, which makes it the tests' oracle for the
+  determinant.
 * exhaustive backtracking enumeration (the oracle, capped): it also serves
   the symmetry filter, which keeps the tilings fixed by a reflection.
 
@@ -35,6 +38,7 @@ from .regions import (
     RegionSpec,
     Triangle,
     build_region,
+    check_width,
     left_half_free,
     upper_half,
 )
@@ -44,7 +48,6 @@ Tiling = frozenset
 
 DEFAULT_ENUM_CAP = 1_000_000
 DEFAULT_TRIANGLE_CAP = 200
-DEFAULT_DP_WIDTH_CAP = 64
 # most tilings the symmetry filter enumerates before "auto" counts halves
 FILTER_LIMIT = 20_000
 # Mersenne primes the Kasteleyn determinant is reduced modulo, smallest first
@@ -55,20 +58,12 @@ class EnumerationCapExceeded(CapExceeded):
     pass
 
 
-class WidthCapExceeded(CapExceeded):
-    pass
-
-
 def enum_cap_default() -> int:
     return int(os.environ.get("HEXHOLES_ENUM_CAP", DEFAULT_ENUM_CAP))
 
 
 def triangle_cap_default() -> int:
     return int(os.environ.get("HEXHOLES_TRIANGLE_CAP", DEFAULT_TRIANGLE_CAP))
-
-
-def dp_width_cap_default() -> int:
-    return int(os.environ.get("HEXHOLES_DP_WIDTH_CAP", DEFAULT_DP_WIDTH_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -168,53 +163,65 @@ def map_tiling(tiling: Tiling, point_map: Callable[[Triangle], Triangle]) -> Til
 
 
 # ---------------------------------------------------------------------------
-# row-profile dynamic program
-
-
-def _check_width(region: Region) -> None:
-    """Both row-sweep engines refuse frames with rows wider than the cap."""
-    width_cap = dp_width_cap_default()
-    for i in range(region.num_rows):
-        if region.row_len(i) > width_cap:
-            raise WidthCapExceeded(f"row {i} wider than {width_cap}")
+# broken-profile dynamic program
 
 
 def _profile_dp(region: Region, use_free: bool, weighted: bool) -> int:
-    """Sweep rows top to bottom; a state is the bitmask of positions in the
-    next row already covered by vertical lozenges from the current row."""
-    _check_width(region)
-    rows = region.num_rows
+    """Broken-profile sweep over the cells in row-major order.
+
+    A state packs the current row's covered positions into its low `width`
+    bits and the next row's positions already covered by vertical lozenges
+    into the bits above; it maps to the weighted number of partial tilings.
+    Each cell's bit is cleared once the cell is placed, so equal partial
+    states merge after every cell and the cost is set by the merged states
+    per cell, not by the completions of a row.  Each cell's facts are
+    looked up once, outside the loop over states, which does only int
+    operations.
+    """
+    check_width(region)
+    cells = region.triangles
     states: dict[int, int] = {0: 1}
-    for i in range(rows):
+    for i in range(region.num_rows):
         width = region.row_len(i)
-        nxt: dict[int, int] = defaultdict(int)
-        for mask, wt in states.items():
-            stack = [(0, mask, 0, wt)]
-            while stack:
-                p, cov, out, w = stack.pop()
-                if p == width:
-                    nxt[out] += w
+        for p in range(width):
+            t = (i, p)
+            if t not in cells:
+                continue  # no lozenge ever sets a missing cell's bit
+            bit = 1 << p
+            factor = 2 if weighted and t in region.special else 1
+            # a special slot is vacated whichever member the pair covers
+            pair_bit = pair_factor = 0
+            if p + 1 < width and (i, p + 1) in cells:
+                pair_bit = bit << 1
+                pair_factor = factor * (2 if weighted and (i, p + 1) in region.special else 1)
+            down_bit = 0
+            half = False
+            if region.is_up(t):
+                v = region.vertical_partner(t)
+                if v is not None and v in cells:
+                    down_bit = 1 << (width + v[1])
+                half = use_free and t in region.free
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for s, w in states.items():
+                if s & bit:
+                    s ^= bit
+                    nxt[s] = get(s, 0) + w
                     continue
-                t = (i, p)
-                if t not in region.triangles or (cov >> p) & 1:
-                    stack.append((p + 1, cov, out, w))
-                    continue
-                factor = 2 if weighted and t in region.special else 1
-                right = (i, p + 1)
-                if p + 1 < width and right in region.triangles and not (cov >> (p + 1)) & 1:
-                    # a special slot is vacated whichever member the pair covers
-                    rfactor = 2 if weighted and right in region.special else 1
-                    stack.append((p + 1, cov | (1 << (p + 1)), out, w * factor * rfactor))
-                if region.is_up(t):
-                    v = region.vertical_partner(t)
-                    if v is not None and v in region.triangles:
-                        # the axis lozenge itself carries no factor
-                        stack.append((p + 1, cov, out | (1 << v[1]), w))
-                    if use_free and t in region.free:
-                        stack.append((p + 1, cov, out, w * factor))
-        states = dict(nxt)
-        if not states:
-            return 0
+                if pair_bit and not s & pair_bit:
+                    u = s | pair_bit
+                    nxt[u] = get(u, 0) + w * pair_factor
+                if down_bit:
+                    # the axis lozenge itself carries no factor
+                    u = s | down_bit
+                    nxt[u] = get(u, 0) + w
+                if half:
+                    nxt[s] = get(s, 0) + w * factor
+            if not nxt:
+                return 0
+            states = nxt
+        # every bit of row i is cleared; the next row's bits move down
+        states = {s >> width: w for s, w in states.items()}
     return states.get(0, 0)
 
 
@@ -300,7 +307,7 @@ def count_plain(region: Region) -> int:
     above twice its Hadamard bound and read back as the symmetric residue,
     which is exact.
     """
-    _check_width(region)
+    check_width(region)
     order = sorted(region.triangles)
     ups = [t for t in order if region.is_up(t)]
     column = {t: j for j, t in enumerate(t for t in order if not region.is_up(t))}

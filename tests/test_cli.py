@@ -109,8 +109,11 @@ def test_count_over_triangle_cap_uses_dp(capsys, cls):
     rec = json.loads(out)
     assert code == 0 and rec["pass"] is True
     assert rec["value"] == "1"
-    if cls in ("full", "hsym", "vsym"):
+    if cls in ("full", "hsym"):
         assert rec["crosscheck"] == "skipped"
+    else:
+        # hole-only: the closed forms check the free and weighted halves
+        assert rec["crosscheck"] == "ok"
 
 
 def test_verify_over_triangle_cap(capsys):

@@ -1,8 +1,10 @@
 import pytest
 
+from hexholes import regions
 from hexholes.regions import (
     Region,
     RegionSpec,
+    WidthCapExceeded,
     axis_up_triangle_cells,
     build_hexagon,
     build_region,
@@ -52,6 +54,24 @@ def test_hexagon_triangle_count(n, m, count):
     region = build_hexagon(n, m)
     assert len(region.triangles) == 2 * n * n + 8 * m * n == count
     assert _up_count(region) * 2 == count
+
+
+def test_width_cap_refuses_the_frame_before_its_cells(monkeypatch):
+    # the widest frame row has 4m + 2(n + x) - 1 triangles
+    monkeypatch.setenv("HEXHOLES_DP_WIDTH_CAP", "11")
+    assert len(build_region(RegionSpec(4, 1, (1,))).triangles) == 64 - 8
+    built = []
+
+    def recording_region(**fields):
+        built.append(len(fields["triangles"]))
+        return Region(**fields)
+
+    monkeypatch.setattr(regions, "Region", recording_region)
+    with pytest.raises(WidthCapExceeded):
+        build_hexagon(5, 1)
+    with pytest.raises(WidthCapExceeded):
+        build_region(RegionSpec(4, 1, (), 1))
+    assert built == [0, 0]  # only the empty frame probes
 
 
 def test_hexagon_symmetries_are_involutions():

@@ -3,10 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 from hexholes import tiler
 from hexholes.closedforms import box_tilings
+from hexholes.paths import count_free_via_pfaffian
 from hexholes.regions import (
     CapExceeded,
     Region,
     RegionSpec,
+    WidthCapExceeded,
     build_hexagon,
     build_region,
     left_half_free,
@@ -192,6 +194,23 @@ def test_engines_agree_on_random_small_regions(spec):
     assert plain == count_via_enumeration(region)
     assert count_hsym(region, method="filter") == count_hsym(region, method="half")
     assert count_vsym(region, method="filter") == count_vsym(region, method="half")
+    # rhombus specs have no closed form: enumeration checks both halves
+    half = left_half_free(region)
+    assert count_free(half) == count_via_enumeration(half)
+    lower = lower_half_weighted(region)
+    assert count_weighted2(lower) == weighted2_via_enumeration(lower)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("n=10 m=3 k=2,4", 113864011680), ("n=12 m=3 k=2,5", 1975424264226990)],
+)
+def test_free_and_weighted_halves_at_tracking_sizes(text, expected):
+    # the tracking sizes; the closed-form Pfaffian gives the same value
+    spec = RegionSpec.parse(text)
+    region = build_region(spec)
+    assert count_free(left_half_free(region)) == expected == count_free_via_pfaffian(spec)
+    assert count_weighted2(lower_half_weighted(region)) == expected
 
 
 @pytest.mark.parametrize(
@@ -219,6 +238,9 @@ def test_kasteleyn_caps(monkeypatch):
     monkeypatch.setattr(tiler, "KASTELEYN_PRIMES", (2**61 - 1,))
     with pytest.raises(CapExceeded):
         count_plain(region)
+    region = build_hexagon(4, 1)  # built before the cap falls under its width
     monkeypatch.setenv("HEXHOLES_DP_WIDTH_CAP", "8")
-    with pytest.raises(tiler.WidthCapExceeded):
-        count_plain(build_hexagon(4, 1))
+    with pytest.raises(WidthCapExceeded):
+        count_plain(region)
+    with pytest.raises(WidthCapExceeded):
+        count_free(region)
