@@ -106,14 +106,17 @@ def cmd_count(args) -> int:
         if tiler.enumerable(region, value, args.crosscheck_limit):
             crosscheck = "ok" if tiler.count_via_enumeration(region) == value else "MISMATCH"
     elif cls in ("hsym", "vsym"):
-        counter = tiler.count_hsym if cls == "hsym" else tiler.count_vsym
-        small = tiler.enumerable(region, tiler.count_plain(region), args.crosscheck_limit)
-        value = counter(region, method="filter" if small else "half")
-        half_engine = "kasteleyn-det" if cls == "hsym" else "profile-dp"
-        method = "enumeration-filter" if small else f"half-region {half_engine}"
-        if small:
-            crosscheck = "ok" if counter(region, method="half") == value else "MISMATCH"
-        elif cls == "vsym" and not spec.central_x:
+        hsym = cls == "hsym"
+        value = tiler.count_hsym(region) if hsym else tiler.count_vsym(region)
+        method = "half-region kasteleyn-det" if hsym else "half-region profile-dp"
+        plain = tiler.count_plain(region)
+        if tiler.enumerable(region, plain, args.crosscheck_limit):
+            expected = tiler.symmetric_via_enumeration(region)[0 if hsym else 1]
+            crosscheck = "ok" if expected == value else "MISMATCH"
+        elif hsym and not spec.central_x:
+            # the weighted split M = M_h * W, with W from the LGV determinant
+            crosscheck = "ok" if value * paths.count_weighted2_via_det(spec) == plain else "MISMATCH"
+        elif not spec.central_x:
             # the half is the free-left count, which the Pfaffian checks
             crosscheck = "ok" if paths.count_free_via_pfaffian(spec) == value else "MISMATCH"
     elif cls == "free-left":
@@ -219,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("full", "hsym", "vsym", "free-left", "weighted-lower"),
         default="full",
     )
-    p.add_argument("--crosscheck-limit", type=int, default=50_000)
+    p.add_argument("--crosscheck-limit", type=int, default=verify.ENUM_LIMIT)
     common(p)
     p.set_defaults(func=cmd_count)
 

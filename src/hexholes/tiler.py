@@ -15,8 +15,12 @@ integers:
   can still grow exponentially with the row width.  With no free edges it
   counts plain tilings, which makes it the tests' oracle for the
   determinant.
-* exhaustive backtracking enumeration (the oracle, capped): it also serves
-  the symmetry filter, which keeps the tilings fixed by a reflection.
+* exhaustive backtracking enumeration (the oracles, capped): plain and
+  weighted counts, and both symmetry classes by definition, from one
+  enumeration that keeps the tilings each reflection fixes.
+
+The symmetry classes have no engine of their own: `count_hsym` is the plain
+count of the upper half and `count_vsym` the free count of the left half.
 
 A tile is a sorted tuple of one or two triangles: two for a lozenge, one
 for a half lozenge protruding across a free edge.  A tiling is a frozenset
@@ -29,7 +33,7 @@ import math
 import os
 from collections import defaultdict
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .intlinalg import det_mod_sparse
 from .regions import (
@@ -48,8 +52,6 @@ Tiling = frozenset
 
 DEFAULT_ENUM_CAP = 1_000_000
 DEFAULT_TRIANGLE_CAP = 200
-# most tilings the symmetry filter enumerates before "auto" counts halves
-FILTER_LIMIT = 20_000
 # Mersenne primes the Kasteleyn determinant is reduced modulo, smallest first
 KASTELEYN_PRIMES = tuple(2**e - 1 for e in (521, 1279, 2203, 4423))
 
@@ -140,15 +142,15 @@ def enumerable(region: Region, count: int, limit: int) -> bool:
     return count <= limit and len(region.triangles) <= triangle_cap_default()
 
 
-def count_via_enumeration(region: Region, enum_cap: int | None = None) -> int:
-    return sum(1 for _ in enumerate_tilings(region, enum_cap=enum_cap))
+def count_via_enumeration(region: Region) -> int:
+    return sum(1 for _ in enumerate_tilings(region))
 
 
-def weighted2_via_enumeration(region: Region, enum_cap: int | None = None) -> int:
+def weighted2_via_enumeration(region: Region) -> int:
     """Sum over tilings of 2^(number of special positions not covered by
     their own axis lozenge); the integer form of the half-weight count."""
     total = 0
-    for tiling in enumerate_tilings(region, enum_cap=enum_cap):
+    for tiling in enumerate_tilings(region):
         weight = 1
         for s in region.special:
             axis_tile = tuple(sorted((s, region.vertical_partner(s))))
@@ -158,8 +160,23 @@ def weighted2_via_enumeration(region: Region, enum_cap: int | None = None) -> in
     return total
 
 
-def map_tiling(tiling: Tiling, point_map: Callable[[Triangle], Triangle]) -> Tiling:
-    return frozenset(tuple(sorted(point_map(t) for t in tile)) for tile in tiling)
+def symmetric_via_enumeration(region: Region) -> tuple[int, int]:
+    """(tilings fixed by reflect_h, tilings fixed by reflect_v), by
+    definition, from one enumeration.
+
+    A tiling is fixed when every tile's mirror image is one of its tiles; a
+    reflection is an involution, so the image is then the whole tiling.
+    """
+    refs = (region.reflect_h, region.reflect_v)
+    if not all(region.is_symmetric(ref) for ref in refs):
+        raise ValueError("the symmetry oracle needs a region fixed by both reflections")
+    images = [{t: ref(t) for t in region.triangles} for ref in refs]
+    fixed = [0, 0]
+    for tiling in enumerate_tilings(region):
+        for j, image in enumerate(images):
+            if all(tuple(sorted(image[t] for t in tile)) in tiling for tile in tiling):
+                fixed[j] += 1
+    return fixed[0], fixed[1]
 
 
 # ---------------------------------------------------------------------------
@@ -341,43 +358,17 @@ def count_plain(region: Region) -> int:
 # symmetry classes
 
 
-def _count_fixed(
-    region: Region,
-    method: str,
-    ref: Callable[[Triangle], Triangle],
-    count_half: Callable[[], int],
-) -> int:
-    """Tilings fixed by the reflection ref: "filter" enumerates and keeps
-    the fixed tilings (the definition), "half" returns count_half(), and
-    "auto" filters when enumeration is feasible."""
-    if method == "auto":
-        method = "filter" if enumerable(region, count_plain(region), FILTER_LIMIT) else "half"
-    if method == "filter":
-        if not region.is_symmetric(ref):
-            raise ValueError("the symmetry filter needs a region fixed by the reflection")
-        return sum(
-            1
-            for tiling in enumerate_tilings(region)
-            if map_tiling(tiling, ref) == tiling
-        )
-    if method == "half":
-        return count_half()
-    raise ValueError(f"unknown method {method!r}")
+def count_hsym(region: Region) -> int:
+    """Tilings fixed by reflect_h, counted as tilings of the half region
+    above the hole axis: a symmetric tiling must place a horizontal lozenge
+    on every surviving axis position."""
+    return count_plain(upper_half(region))
 
 
-def count_hsym(region: Region, method: str = "auto") -> int:
-    """Tilings fixed by reflect_h.
-
-    "half" counts tilings of the half region above the hole axis, which
-    agrees with the definition because a symmetric tiling must place a
-    horizontal lozenge on every surviving axis position.
-    """
-    return _count_fixed(region, method, region.reflect_h, lambda: count_plain(upper_half(region)))
-
-
-def count_vsym(region: Region, method: str = "auto") -> int:
-    """Tilings fixed by reflect_v; "half" counts the free-boundary half."""
-    return _count_fixed(region, method, region.reflect_v, lambda: count_free(left_half_free(region)))
+def count_vsym(region: Region) -> int:
+    """Tilings fixed by reflect_v, counted as free-boundary tilings of the
+    left half."""
+    return count_free(left_half_free(region))
 
 
 # ---------------------------------------------------------------------------

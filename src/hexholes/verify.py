@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 from . import closedforms, paths, reduction, tiler
 from .intlinalg import LabeledMatrix, pfaffian_elimination
 from .regions import (
+    Region,
     RegionSpec,
     build_hexagon,
     build_region,
@@ -73,14 +74,21 @@ DEFAULT_GRID = dict(n_values=range(2, 7), m_values=(1, 2), l_values=(0, 1, 2))
 # tiling-level identities
 
 
+def _symmetry_classes(region: Region, plain: int) -> tuple[int, int]:
+    """(hsym, vsym) of a region with `plain` tilings: by definition where
+    it is enumerable, else by the half-region engines."""
+    if tiler.enumerable(region, plain, ENUM_LIMIT):
+        return tiler.symmetric_via_enumeration(region)
+    return tiler.count_hsym(region), tiler.count_vsym(region)
+
+
 def _factorization(specs: Sequence[RegionSpec], identity: str) -> list[dict]:
     """plain = hsym * vsym per spec, recorded under the given identity."""
     out = []
     for spec in specs:
         region = build_region(spec)
         total = tiler.count_plain(region)
-        hs = tiler.count_hsym(region)
-        vs = tiler.count_vsym(region)
+        hs, vs = _symmetry_classes(region, total)
         out.append(record(spec.text(), identity, total, hs * vs, "kasteleyn-det", "hsym*vsym"))
     return out
 
@@ -102,17 +110,14 @@ def check_halves(specs: Sequence[RegionSpec]) -> list[dict]:
     out = []
     for spec in specs:
         region = build_region(spec)
-        if not tiler.enumerable(region, tiler.count_plain(region), tiler.FILTER_LIMIT):
+        if not tiler.enumerable(region, tiler.count_plain(region), ENUM_LIMIT):
             continue
-        hs_filter = tiler.count_hsym(region, method="filter")
-        hs_half = tiler.count_plain(upper_half(region))
+        hs, vs = tiler.symmetric_via_enumeration(region)
         out.append(
-            record(spec.text(), "sym-eq-upper-half", hs_filter, hs_half, "enumeration-filter", "kasteleyn-det")
+            record(spec.text(), "sym-eq-upper-half", hs, tiler.count_hsym(region), "enumeration-filter", "kasteleyn-det")
         )
-        vs_filter = tiler.count_vsym(region, method="filter")
-        vs_half = tiler.count_free(left_half_free(region))
         out.append(
-            record(spec.text(), "sym-eq-free-half", vs_filter, vs_half, "enumeration-filter", "profile-dp")
+            record(spec.text(), "sym-eq-free-half", vs, tiler.count_vsym(region), "enumeration-filter", "profile-dp")
         )
     return out
 
@@ -162,6 +167,7 @@ def check_axis_split(specs: Sequence[RegionSpec]) -> list[dict]:
     out = []
     for spec in specs:
         region = build_region(spec)
+        plain = tiler.count_plain(region)
         table = tiler.split_by_axis(spec)
         s = spec.text()
         out.append(
@@ -169,7 +175,7 @@ def check_axis_split(specs: Sequence[RegionSpec]) -> list[dict]:
                 s,
                 "axis-split-squares",
                 sum(c * c for _, c in table),
-                tiler.count_plain(region),
+                plain,
                 "sum of squared piece counts",
                 "kasteleyn-det",
             )
@@ -179,7 +185,7 @@ def check_axis_split(specs: Sequence[RegionSpec]) -> list[dict]:
                 s,
                 "axis-split-sum",
                 sum(c for _, c in table),
-                tiler.count_vsym(region),
+                _symmetry_classes(region, plain)[1],
                 "sum of piece counts",
                 "vsym",
             )
@@ -398,29 +404,11 @@ def check_box_product() -> list[dict]:
             if a <= 2 and b <= 2:
                 region = build_hexagon(b, a)
                 s = f"box 2a={2*a} b={b}"
-                out.append(
-                    record(s, "box-total-eq-tiler", n1, tiler.count_plain(region), "formula", "kasteleyn-det")
-                )
-                out.append(
-                    record(
-                        s,
-                        "box-sym-eq-tiler",
-                        n2,
-                        tiler.count_vsym(region),
-                        "formula",
-                        "tiler vsym",
-                    )
-                )
-                out.append(
-                    record(
-                        s,
-                        "box-tc-eq-tiler",
-                        n6,
-                        tiler.count_hsym(region),
-                        "formula",
-                        "tiler hsym",
-                    )
-                )
+                plain = tiler.count_plain(region)
+                hs, vs = _symmetry_classes(region, plain)
+                out.append(record(s, "box-total-eq-tiler", n1, plain, "formula", "kasteleyn-det"))
+                out.append(record(s, "box-sym-eq-tiler", n2, vs, "formula", "tiler vsym"))
+                out.append(record(s, "box-tc-eq-tiler", n6, hs, "formula", "tiler hsym"))
     return out
 
 

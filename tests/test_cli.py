@@ -109,10 +109,10 @@ def test_count_over_triangle_cap_uses_dp(capsys, cls):
     rec = json.loads(out)
     assert code == 0 and rec["pass"] is True
     assert rec["value"] == "1"
-    if cls in ("full", "hsym"):
+    if cls == "full":
         assert rec["crosscheck"] == "skipped"
     else:
-        # hole-only: the closed forms check the free and weighted halves
+        # hole-only: the closed forms check the halves and M = M_h * W
         assert rec["crosscheck"] == "ok"
 
 

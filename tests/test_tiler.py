@@ -27,8 +27,8 @@ from hexholes.tiler import (
     count_weighted2,
     enumerate_tilings,
     left_piece,
-    map_tiling,
     split_by_axis,
+    symmetric_via_enumeration,
     weighted2_via_enumeration,
 )
 from hexholes.verify import iter_specs
@@ -91,8 +91,7 @@ def test_symmetric_filters_match_half_counts():
         region = build_region(spec)
         if count_plain(region) > 5000:
             continue
-        assert count_hsym(region, method="filter") == count_hsym(region, method="half")
-        assert count_vsym(region, method="filter") == count_vsym(region, method="half")
+        assert symmetric_via_enumeration(region) == (count_hsym(region), count_vsym(region))
 
 
 def test_symmetric_tilings_cover_axis_positions():
@@ -102,8 +101,22 @@ def test_symmetric_tilings_cover_axis_positions():
         tuple(sorted((up, down))) for up, down in region.axis_positions()
     }
     for tiling in enumerate_tilings(region):
-        if map_tiling(tiling, ref) == tiling:
+        if frozenset(tuple(sorted(ref(t) for t in tile)) for tile in tiling) == tiling:
             assert axis_tiles <= tiling
+
+
+@pytest.mark.parametrize(
+    "triangles",
+    [
+        {(0, p) for p in range(5)},  # fixed by reflect_h only
+        {(0, 0), (1, 0)},  # fixed by reflect_v only
+        {(0, 0), (0, 1)},  # fixed by neither
+    ],
+)
+def test_symmetry_oracle_refuses_asymmetric_regions(triangles):
+    region = Region(side=1, m=1, triangles=frozenset(triangles))
+    with pytest.raises(ValueError):
+        symmetric_via_enumeration(region)
 
 
 def test_every_tiling_bisects_n_lozenges():
@@ -192,8 +205,7 @@ def test_engines_agree_on_random_small_regions(spec):
     if plain > 5000:
         return
     assert plain == count_via_enumeration(region)
-    assert count_hsym(region, method="filter") == count_hsym(region, method="half")
-    assert count_vsym(region, method="filter") == count_vsym(region, method="half")
+    assert symmetric_via_enumeration(region) == (count_hsym(region), count_vsym(region))
     # rhombus specs have no closed form: enumeration checks both halves
     half = left_half_free(region)
     assert count_free(half) == count_via_enumeration(half)
