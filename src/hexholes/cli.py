@@ -5,7 +5,8 @@ Region specs are given as key=value tokens (`n=15 m=5 k=2,5,7 x=0`); grids
 as comparisons (`--grid "n<=4 m<=2 l<=1"` or `"n in {2,4} x in {1,3}"`).
 Exact integers are serialized as decimal strings in JSON output.  Exit
 status is 0 when every checked identity holds, 1 when one fails, and 2 on
-bad input or an exceeded cap.
+bad input or an exceeded cap; under `--format json` that error is also
+printed to stdout as one record, `{"error": "...", "pass": false}`.
 """
 
 from __future__ import annotations
@@ -252,6 +253,8 @@ def main(argv=None) -> int:
             return args.func(args)
     except (ValueError, CapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
+        if args.format == "json":
+            emit([{"error": str(err), "pass": False}], "json")
         return 2
 
 

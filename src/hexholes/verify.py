@@ -44,6 +44,27 @@ def record(spec: str, identity: str, lhs: int, rhs: int, method_lhs: str, method
     }
 
 
+def _entries_record(
+    spec: str, identity: str, lhs: LabeledMatrix, rhs: LabeledMatrix, method_lhs: str, method_rhs: str
+) -> dict:
+    """1 = 1 when the two matrices agree entry for entry; otherwise lhs is
+    0 and method_lhs names the first differing entry, row by row, by the
+    (row label, column label) of the lhs matrix."""
+    if lhs.rows == rhs.rows:
+        return record(spec, identity, 1, 1, method_lhs, method_rhs)
+    bad = next(
+        (
+            (lhs.row_labels[i], lhs.col_labels[j])
+            for i, (row, other) in enumerate(zip(lhs.rows, rhs.rows))
+            for j, (a, b) in enumerate(zip(row, other))
+            if a != b
+        ),
+        None,
+    )
+    where = "shapes differ" if bad is None else f"first bad entry {bad!r}"
+    return record(spec, identity, 0, 1, f"{method_lhs}, {where}", method_rhs)
+
+
 def hole_lists(n: int, l: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, n // 2 + 1), l))
 
@@ -233,16 +254,7 @@ def check_skew_matrix(specs: Sequence[RegionSpec]) -> list[dict]:
         closed = paths.endline_skew_matrix(spec)
         starts = [paths.start_point(spec, lab) for lab in paths.endpoint_labels(spec)]
         generic = paths.free_endpoint_pfaffian_matrix(starts, paths.cut_line_points(spec))
-        out.append(
-            record(
-                s,
-                "skew-matrix-entries",
-                int(closed.rows == generic.rows),
-                1,
-                "closed form",
-                "endpoint double sums",
-            )
-        )
+        out.append(_entries_record(s, "skew-matrix-entries", closed, generic, "closed form", "endpoint double sums"))
         if spec.n <= 3 and spec.m + spec.l <= 3:
             fam = paths.brute_force_endline_families(
                 starts, paths.cut_line_points(spec), cap=FAMILY_CAP
@@ -279,14 +291,7 @@ def check_lgv_matrix(specs: Sequence[RegionSpec]) -> list[dict]:
         ends = paths.diagonal_end_points(spec)
         generic = paths.lgv_matrix(starts, ends)
         out.append(
-            record(
-                s,
-                "lgv-matrix-entries",
-                int(closed.rows == generic.rows),
-                1,
-                "closed form",
-                "reflection generating functions",
-            )
+            _entries_record(s, "lgv-matrix-entries", closed, generic, "closed form", "reflection generating functions")
         )
         if spec.n <= 3 and spec.m + spec.l <= 3:
             fam = paths.brute_force_fixed_families(starts, ends, diagonal=True, cap=FAMILY_CAP)
@@ -372,11 +377,11 @@ def check_reduction_chain(specs: Sequence[RegionSpec]) -> list[dict]:
         transformed = reduction.difference_transform(reduction.extract_reduced(a))
         target = paths.diagonal_lgv_matrix(spec)
         out.append(
-            record(
+            _entries_record(
                 s,
                 "difference-transform-eq-lgv",
-                int(transformed.rows == target.rows),
-                1,
+                transformed,
+                target,
                 "difference transform of reduced block",
                 "closed-form LGV matrix",
             )

@@ -128,8 +128,22 @@ def test_exceeded_cap_exits_2(capsys, monkeypatch):
     code = main(["count", "n=4", "m=1", "--dp-width-cap", "8"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # the default format is json, so stdout carries the same error as one record
+    message = captured.err[len("error: ") : -1]
+    assert captured.out == json.dumps({"error": message, "pass": False}) + "\n"
+
+
+def test_json_error_is_one_record(capsys):
+    code = main(["count", "n=3", "m=1", "k=9", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: hole index 9 exceeds n/2 = 3/2\n"
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out) == {"error": "hole index 9 exceeds n/2 = 3/2", "pass": False}
+    code = main(["count", "n=3", "m=1", "k=9", "--format", "text"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.startswith("error: hole index 9")
 
 
 def test_polycheck_rejects_holes(capsys):

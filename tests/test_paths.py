@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hexholes.intlinalg import determinant, pfaffian_elimination
+from hexholes.intlinalg import LabeledMatrix, determinant, pfaffian_elimination
 from hexholes.paths import (
     brute_force_endline_families,
     brute_force_fixed_families,
@@ -95,11 +96,41 @@ def test_lgv_entries_are_reflection_gfs():
         assert closed.rows == generic.rows, spec.text()
 
 
+def double_sum_matrix(starts, ipoints) -> LabeledMatrix:
+    """The definition of free_endpoint_pfaffian_matrix, summed literally
+    over every pair u < v of endpoint indices."""
+    counts = [[free_path_count(s, e) for e in ipoints] for s in starts]
+
+    def entry(i, j):
+        return sum(
+            counts[i][u] * counts[j][v] - counts[j][u] * counts[i][v]
+            for u in range(len(ipoints))
+            for v in range(u + 1, len(ipoints))
+        )
+
+    labels = list(range(len(starts)))
+    return LabeledMatrix.build(labels, labels, entry)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-3, 4), st.integers(-3, 4)), max_size=6),
+    st.lists(st.tuples(st.integers(-4, 6), st.integers(-4, 6)), max_size=9),
+)
+def test_running_sums_match_definition_on_random_points(starts, ipoints):
+    # endpoints come from a wider box than the starts, so many lie south or
+    # west of some start and no path reaches them
+    built = free_endpoint_pfaffian_matrix(starts, ipoints)
+    assert built == double_sum_matrix(starts, ipoints)
+    assert built.skew_violations() == []
+
+
 def test_closed_skew_matrix_matches_double_sums():
-    for spec in iter_specs(range(1, 5), (1, 2), (0, 1, 2)):
+    for spec in iter_specs(range(1, 5), (1, 2), (0, 1, 2)) + [RegionSpec(12, 3, (2, 5, 6))]:
         closed = endline_skew_matrix(spec)
         starts = [start_point(spec, lab) for lab in endpoint_labels(spec)]
         generic = free_endpoint_pfaffian_matrix(starts, cut_line_points(spec))
+        assert generic == double_sum_matrix(starts, cut_line_points(spec)), spec.text()
         assert closed.rows == generic.rows, spec.text()
 
 
@@ -111,6 +142,7 @@ def test_widening_the_cut_line_changes_nothing():
     wide = [(j, n + 1 - j) for j in range(-m - 4, n + m + 5)]
     widened = free_endpoint_pfaffian_matrix(starts, wide)
     assert narrow.rows == widened.rows
+    assert widened == double_sum_matrix(starts, wide)
 
 
 def test_pfaffian_route_matches_tiler():

@@ -1,4 +1,4 @@
-from hexholes import verify
+from hexholes import paths, reduction, verify
 from hexholes.regions import RegionSpec
 
 
@@ -51,3 +51,41 @@ def test_axis_split_suite_comes_with_determinants():
     idents = [rec["identity"] for rec in records]
     assert idents == ["axis-split-squares", "axis-split-sum", "axis-split-determinants"]
     assert all(rec["pass"] for rec in records)
+
+
+def _corrupt(builder, row, col):
+    """Wrap a matrix builder so that entry (row, col), by position, is off by one."""
+
+    def corrupted(*args):
+        mat = builder(*args)
+        mat.rows[row][col] += 1
+        return mat
+
+    return corrupted
+
+
+def test_failed_entry_records_name_the_first_bad_entry(monkeypatch):
+    spec = RegionSpec(2, 1, (1,))  # skew labels 0, 1, 1-, 1+; LGV labels 1, 1+
+    good_skew = verify.check_skew_matrix([spec])[0]
+    good_lgv = verify.check_lgv_matrix([spec])[0]
+    assert good_skew["pass"] and good_skew["method_lhs"] == "closed form"
+    assert good_lgv["pass"] and good_lgv["method_lhs"] == "closed form"
+
+    monkeypatch.setattr(paths, "free_endpoint_pfaffian_matrix", _corrupt(paths.free_endpoint_pfaffian_matrix, 1, 2))
+    bad = verify.check_skew_matrix([spec])[0]
+    assert bad == {**good_skew, "lhs": "0", "pass": False, "method_lhs": "closed form, first bad entry (1, '1-')"}
+
+    monkeypatch.setattr(paths, "lgv_matrix", _corrupt(paths.lgv_matrix, 1, 0))
+    bad = verify.check_lgv_matrix([spec])[0]
+    assert bad == {**good_lgv, "lhs": "0", "pass": False, "method_lhs": "closed form, first bad entry ('1+', 1)"}
+
+    good_chain = verify.check_reduction_chain([spec])[1]
+    assert good_chain["identity"] == "difference-transform-eq-lgv" and good_chain["pass"]
+    monkeypatch.setattr(reduction, "difference_transform", _corrupt(reduction.difference_transform, 1, 0))
+    bad = verify.check_reduction_chain([spec])[1]
+    assert bad == {
+        **good_chain,
+        "lhs": "0",
+        "pass": False,
+        "method_lhs": "difference transform of reduced block, first bad entry ('1-', 1)",
+    }
