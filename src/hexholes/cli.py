@@ -75,21 +75,20 @@ def emit(records: list[dict], fmt: str, out=None) -> None:
 
 @contextlib.contextmanager
 def _cap_flags(args):
-    """Hand --enum-cap / --dp-width-cap to the engines through their
-    environment variables for one command, then restore the variables."""
-    saved = {}
-    for var, value in (("HEXHOLES_ENUM_CAP", args.enum_cap), ("HEXHOLES_DP_WIDTH_CAP", args.dp_width_cap)):
-        if value is not None:
-            saved[var] = os.environ.get(var)
-            os.environ[var] = str(value)
+    """Hand --enum-cap to the enumeration through HEXHOLES_ENUM_CAP for one
+    command, then restore the variable."""
+    if args.enum_cap is None:
+        yield
+        return
+    saved = os.environ.get("HEXHOLES_ENUM_CAP")
+    os.environ["HEXHOLES_ENUM_CAP"] = str(args.enum_cap)
     try:
         yield
     finally:
-        for var, old in saved.items():
-            if old is None:
-                del os.environ[var]
-            else:
-                os.environ[var] = old
+        if saved is None:
+            del os.environ["HEXHOLES_ENUM_CAP"]
+        else:
+            os.environ["HEXHOLES_ENUM_CAP"] = saved
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +108,12 @@ def cmd_count(args) -> int:
     elif cls in ("hsym", "vsym"):
         hsym = cls == "hsym"
         value = tiler.count_hsym(region) if hsym else tiler.count_vsym(region)
-        method = "half-region kasteleyn-det" if hsym else "half-region profile-dp"
-        plain = tiler.count_plain(region)
-        if tiler.enumerable(region, plain, args.crosscheck_limit):
+        method = "half-region kasteleyn-det" if hsym else "half-region kasteleyn-pfaffian"
+        # the enumeration gate needs the plain count only within the
+        # triangle cap; M = M_h * W below needs it for hsym everywhere
+        within_cap = len(region.triangles) <= tiler.triangle_cap_default()
+        plain = tiler.count_plain(region) if hsym or within_cap else None
+        if within_cap and tiler.enumerable(region, plain, args.crosscheck_limit):
             expected = tiler.symmetric_via_enumeration(region)[0 if hsym else 1]
             crosscheck = "ok" if expected == value else "MISMATCH"
         elif hsym and not spec.central_x:
@@ -122,14 +124,14 @@ def cmd_count(args) -> int:
             crosscheck = "ok" if paths.count_free_via_pfaffian(spec) == value else "MISMATCH"
     elif cls == "free-left":
         value = tiler.count_free(left_half_free(region))
-        method = "profile-dp"
+        method = "kasteleyn-pfaffian"
         if not spec.central_x:
             crosscheck = (
                 "ok" if paths.count_free_via_pfaffian(spec) == value else "MISMATCH"
             )
     elif cls == "weighted-lower":
         value = tiler.count_weighted2(lower_half_weighted(region))
-        method = "profile-dp"
+        method = "weighted kasteleyn-det"
         if not spec.central_x:
             crosscheck = (
                 "ok" if paths.count_weighted2_via_det(spec) == value else "MISMATCH"
@@ -213,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--trials", type=int, default=int(os.environ.get("HEXHOLES_TRIALS", 200)))
         p.add_argument("--enum-cap", type=int, default=None)
-        p.add_argument("--dp-width-cap", type=int, default=None)
 
     p = sub.add_parser("count", help="count tilings of one region")
     p.add_argument("spec", nargs="+", help="region spec tokens, e.g. n=2 m=1 k=1")

@@ -4,10 +4,11 @@ Everything runs on Python's arbitrary-precision integers; nothing is ever
 rounded.  Determinants use fraction-free (Bareiss) elimination so that all
 intermediate values stay integral; large sparse matrices are eliminated
 modulo a prime instead (`det_mod_sparse`), which is exact once the caller
-picks a prime above twice a bound on the determinant.  Pfaffians come in
-two flavours: a perfect-matching expansion that serves as an oracle on
-small inputs, and an exact-rational elimination that scales; the test
-suite checks the two against each other and against det = Pf^2.
+picks a prime above twice a bound on the determinant (`modulus_above`).
+Pfaffians come in two flavours: a perfect-matching expansion that serves
+as an oracle on small inputs, and an exact-rational elimination that
+scales; the test suite checks the two against each other and against
+det = Pf^2.
 
 Matrices carry explicit row/column labels (integers, or tag strings such as
 "2-" / "2+") so callers can address entries by the same index sets that
@@ -25,6 +26,12 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 Label = Hashable
 
 MATCHING_PFAFFIAN_MAX_ORDER = 10
+# the moduli of the sparse eliminations: 2^e - 1 for every Mersenne prime
+# exponent e from 61 to 11213, smallest first
+KASTELEYN_PRIMES = tuple(
+    2**e - 1
+    for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213)
+)
 
 
 def minus_label(t: int) -> str:
@@ -332,6 +339,13 @@ def determinant(a: LabeledMatrix) -> int:
     if a.nrows <= 4:
         return det_cofactor(a.rows)
     return _det_bareiss(a.rows)
+
+
+def modulus_above(bound: int) -> int | None:
+    """The smallest prime of KASTELEYN_PRIMES above 2 * bound, or None when
+    there is none: the least modulus whose symmetric residue recovers every
+    integer of absolute value at most bound."""
+    return next((q for q in KASTELEYN_PRIMES if q > 2 * bound), None)
 
 
 def det_mod_sparse(rows: Sequence[Mapping[int, int]], prime: int) -> int:

@@ -26,26 +26,18 @@ analogous pair of side-x triangles meeting at the equator.
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
-Triangle = tuple[int, int]
+from . import intlinalg
 
-DEFAULT_DP_WIDTH_CAP = 64
+Triangle = tuple[int, int]
 
 
 class CapExceeded(RuntimeError):
     """A size cap stopped a count or an oracle: the input is too large for
     the current caps, which says nothing about any identity."""
-
-
-class WidthCapExceeded(CapExceeded):
-    pass
-
-
-def dp_width_cap_default() -> int:
-    return int(os.environ.get("HEXHOLES_DP_WIDTH_CAP", DEFAULT_DP_WIDTH_CAP))
 
 
 @dataclass(frozen=True)
@@ -214,28 +206,26 @@ class Region:
 # builders
 
 
-def check_width(region: Region) -> None:
-    """Refuse frames with rows wider than HEXHOLES_DP_WIDTH_CAP; the
-    row-sweep engines and the hexagon builder run it first."""
-    width_cap = dp_width_cap_default()
-    for i in range(region.num_rows):
-        if region.row_len(i) > width_cap:
-            raise WidthCapExceeded(f"row {i} wider than {width_cap}")
-
-
 def build_hexagon(n: int, m: int) -> Region:
     """The full hexagon with sides n, 2m, n, n, 2m, n (2n^2 + 8mn triangles).
 
-    Both counting engines refuse a frame wider than the width cap, so such
-    a frame is refused here, before its cells are allocated."""
+    Its Kasteleyn matrix has n^2 + 4mn rows of norm up to sqrt(3), so the
+    determinant bound has about (n^2 + 4mn) log2(3)/2 bits, and the free
+    half's matrix needs about as many.  A frame past the largest modulus of
+    `intlinalg.KASTELEYN_PRIMES` can be counted by no engine, so it is
+    refused here, before its cells are allocated."""
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n} m={m}")
-    probe = Region(side=n, m=m, triangles=frozenset())
-    check_width(probe)
-    cells = frozenset(
-        (i, p) for i in range(2 * n) for p in range(probe.row_len(i))
-    )
-    return Region(side=n, m=m, triangles=cells)
+    ups = n * n + 4 * m * n
+    modulus_bits = intlinalg.KASTELEYN_PRIMES[-1].bit_length()
+    if ups * math.log2(3) / 2 > modulus_bits:
+        raise CapExceeded(
+            f"a hexagon of side {n} with m={m} has {ups} up triangles; its "
+            f"determinant bound outgrows the largest modulus (2^{modulus_bits}-1)"
+        )
+    frame = Region(side=n, m=m, triangles=frozenset())
+    cells = frozenset((i, p) for i in range(2 * n) for p in range(frame.row_len(i)))
+    return replace(frame, triangles=cells)
 
 
 def axis_up_triangle_cells(region: Region, apex_row: int, side: int) -> set[Triangle]:

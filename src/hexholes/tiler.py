@@ -1,23 +1,47 @@
 """Ground-truth lozenge-tiling counts.
 
-Three engines, each serving one kind of count, all on arbitrary-precision
-integers:
+Two kinds of engine, on arbitrary-precision integers:
 
-* the Kasteleyn determinant (`count_plain`): a tiling is a perfect matching
-  between the region's up and down triangles, so the plain count is
-  |det K| for a Kasteleyn-signed up/down adjacency matrix K.  Sparse exact
-  elimination makes it polynomial in the region size.
-* the broken-profile dynamic program (`count_free`, `count_weighted2`): it
-  honors free boundaries (half lozenges) and half-weight axis positions,
-  which the determinant does not.  It sweeps cell by cell and merges equal
-  partial states after every cell, so its cost is set by the number of
-  merged states per cell, not by the completions of a row; that number
-  can still grow exponentially with the row width.  With no free edges it
-  counts plain tilings, which makes it the tests' oracle for the
-  determinant.
+* Kasteleyn matrices, eliminated by `intlinalg.det_mod_sparse` modulo the
+  smallest prime of `intlinalg.KASTELEYN_PRIMES` above twice the matrix's
+  own Hadamard bound, which is exact.  A tiling is a perfect matching
+  between the region's up and down triangles, so with K the up/down
+  adjacency matrix, rows and columns in row-major order and signed by
+  `_defect_line`:
+  - `count_plain` is |det K|;
+  - `count_weighted2` is |det K| with entry 2 on each horizontal edge of a
+    special triangle (Kasteleyn's theorem holds for any positive edge
+    weights);
+  - `count_free` is |Pf A| for the boundary-monomer matrix A below
+    (Giuliani, Jauslin and Lieb, J. Stat. Phys. 2016), the graph form of
+    the free-endpoint Pfaffian of `paths`.
+  Each is polynomial in the region size.
 * exhaustive backtracking enumeration (the oracles, capped): plain and
   weighted counts, and both symmetry classes by definition, from one
   enumeration that keeps the tilings each reflection fixes.
+
+A free up triangle may be left to a half lozenge, an unmatched vertex of
+the matching.  A is skew, on every triangle in row-major order plus a pad
+vertex z when that order is odd: A[u, d] = K[u, d] = -A[d, u] for an up u
+and a down d, and among the free ups f_0, f_1, ..., taken left to right
+with z last, A[f_r, f_s] = (-1)^(r+s) for r < s.  Why these signs are
+uniform: expand Pf A over the set S of free ups (and z) that a term leaves
+to the free block.  Every present up triangle of the cut row is free, and
+the cut row is the region's last, so the free ups sit together at the end
+of the row-major up order, on the outer face.  Moving S behind the other
+vertices then costs a sign that cancels the free block's own Pfaffian,
+(-1)^(sum of the ranks in S), up to a factor fixed by |S|, which is the
+same for every term (the ups outnumber the downs by |S|).  So Pf A =
++-sum over S of det K_{-S}, K without the rows of S.  Each K_{-S} is still
+Kasteleyn-signed, as the removed vertices lie on the outer face, and det
+K_{-S} has the same sign for every S.  That last step is checked, not
+proved: it holds on every region the tests compare with the profile DP,
+and fails where a free up lacks a row neighbour (a hole opening onto the
+cut through a down triangle), a layout `_free_ups` refuses.
+
+The broken-profile dynamic program (`_profile_dp`) is the tests' oracle
+for all three Kasteleyn engines: it honors free edges and special
+positions directly, cell by cell, at a cost exponential in the row width.
 
 The symmetry classes have no engine of their own: `count_hsym` is the plain
 count of the upper half and `count_vsym` the free count of the left half.
@@ -35,14 +59,14 @@ from collections import defaultdict
 from itertools import combinations
 from typing import Iterator
 
-from .intlinalg import det_mod_sparse
+from . import intlinalg
+from .intlinalg import det_mod_sparse, modulus_above
 from .regions import (
     CapExceeded,
     Region,
     RegionSpec,
     Triangle,
     build_region,
-    check_width,
     left_half_free,
     upper_half,
 )
@@ -52,8 +76,8 @@ Tiling = frozenset
 
 DEFAULT_ENUM_CAP = 1_000_000
 DEFAULT_TRIANGLE_CAP = 200
-# Mersenne primes the Kasteleyn determinant is reduced modulo, smallest first
-KASTELEYN_PRIMES = tuple(2**e - 1 for e in (521, 1279, 2203, 4423))
+# widest frame row the profile DP sweeps: its states can double per cell
+DP_WIDTH_CAP = 64
 
 
 class EnumerationCapExceeded(CapExceeded):
@@ -180,7 +204,7 @@ def symmetric_via_enumeration(region: Region) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# broken-profile dynamic program
+# broken-profile dynamic program: the tests' oracle
 
 
 def _profile_dp(region: Region, use_free: bool, weighted: bool) -> int:
@@ -195,7 +219,8 @@ def _profile_dp(region: Region, use_free: bool, weighted: bool) -> int:
     looked up once, outside the loop over states, which does only int
     operations.
     """
-    check_width(region)
+    if region.row_len(region.side - 1) > DP_WIDTH_CAP:  # the widest row
+        raise CapExceeded(f"the profile DP sweeps rows of at most {DP_WIDTH_CAP} cells")
     cells = region.triangles
     states: dict[int, int] = {0: 1}
     for i in range(region.num_rows):
@@ -242,19 +267,8 @@ def _profile_dp(region: Region, use_free: bool, weighted: bool) -> int:
     return states.get(0, 0)
 
 
-def count_free(region: Region) -> int:
-    """Tilings with half lozenges allowed on the region's free edges."""
-    return _profile_dp(region, use_free=True, weighted=False)
-
-
-def count_weighted2(region: Region) -> int:
-    """The integer 2^(#specials) * (half-weight count): every special axis
-    position not covered by its horizontal lozenge contributes a factor 2."""
-    return _profile_dp(region, use_free=False, weighted=True)
-
-
 # ---------------------------------------------------------------------------
-# Kasteleyn determinant
+# Kasteleyn matrices
 
 
 def _corners(region: Region, t: Triangle) -> tuple[tuple[int, int], ...]:
@@ -315,43 +329,110 @@ def _defect_line(region: Region) -> set[Triangle]:
     return flipped
 
 
-def count_plain(region: Region) -> int:
-    """Number of lozenge tilings (no half lozenges, no weights), as |det K|.
-
-    K has a row per up triangle and a column per down triangle, both in
-    row-major order, so it is banded with width about one frame row.  The
-    determinant is taken modulo the smallest prime of KASTELEYN_PRIMES
-    above twice its Hadamard bound and read back as the symmetric residue,
-    which is exact.
-    """
-    check_width(region)
-    order = sorted(region.triangles)
-    ups = [t for t in order if region.is_up(t)]
-    column = {t: j for j, t in enumerate(t for t in order if not region.is_up(t))}
-    if len(ups) != len(column):
-        return 0
+def _up_edges(region: Region, weighted: bool) -> dict[Triangle, dict[Triangle, int]]:
+    """Each up triangle's Kasteleyn-signed edges to its down neighbours,
+    ups in row-major order.  An edge weighs 1, a vertical edge that a
+    defect line crosses -1, and with `weighted` each horizontal edge of a
+    special triangle 2; the axis lozenge's vertical edge keeps weight 1."""
     flipped = _defect_line(region)
-    rows = []
-    hadamard_sq = 1  # product of squared row norms; all entries are +-1
-    for t in ups:
+    edges = {}
+    for t in sorted(region.triangles):
+        if not region.is_up(t):
+            continue
         i, p = t
-        row = {column[d]: 1 for d in ((i, p - 1), (i, p + 1)) if d in column}
+        w = 2 if weighted and t in region.special else 1
+        row = {d: w for d in ((i, p - 1), (i, p + 1)) if d in region.triangles}
         below = region.vertical_partner(t)
-        if below in column:
-            row[column[below]] = -1 if t in flipped else 1
-        if not row:
-            return 0
-        hadamard_sq *= len(row)
-        rows.append(row)
-    bound = math.isqrt(hadamard_sq) + 1
-    prime = next((q for q in KASTELEYN_PRIMES if q > 2 * bound + 1), None)
+        if below in region.triangles:
+            row[below] = -1 if t in flipped else 1
+        edges[t] = row
+    return edges
+
+
+def _exact_det(rows: list[dict[int, int]]) -> int:
+    """Determinant of the square sparse integer matrix, taken modulo the
+    smallest prime above twice its Hadamard bound and read back as the
+    symmetric residue, which is exact."""
+    bound = math.isqrt(math.prod(sum(v * v for v in row.values()) for row in rows))
+    prime = modulus_above(bound)
     if prime is None:
         raise CapExceeded(
             f"the determinant bound of {bound.bit_length()} bits outgrows the "
-            f"largest modulus (2^{KASTELEYN_PRIMES[-1].bit_length()}-1)"
+            f"largest modulus (2^{intlinalg.KASTELEYN_PRIMES[-1].bit_length()}-1)"
         )
     det = det_mod_sparse(rows, prime)
-    return prime - det if det > prime // 2 else det
+    return det - prime if det > prime // 2 else det
+
+
+def _count_det(region: Region, weighted: bool) -> int:
+    """|det K|, K with a row per up and a column per down triangle, both in
+    row-major order, so it is banded: an up's vertical partner sits about
+    half a frame row off its diagonal position."""
+    edges = _up_edges(region, weighted)
+    column = {t: j for j, t in enumerate(t for t in sorted(region.triangles) if not region.is_up(t))}
+    if len(edges) != len(column):
+        return 0
+    return abs(_exact_det([{column[d]: w for d, w in row.items()} for row in edges.values()]))
+
+
+def count_plain(region: Region) -> int:
+    """Number of lozenge tilings (no half lozenges, no weights), as |det K|."""
+    return _count_det(region, weighted=False)
+
+
+def count_weighted2(region: Region) -> int:
+    """The integer 2^(#specials) * (half-weight count): every special axis
+    position not covered by its axis lozenge contributes a factor 2.  It is
+    |det K| with weight 2 on each horizontal edge of a special triangle,
+    since each of them pairs the special triangle off its axis lozenge."""
+    return _count_det(region, weighted=True)
+
+
+def _free_ups(region: Region) -> list[Triangle]:
+    """The free triangles left to right, once checked to be laid out as the
+    boundary-monomer Pfaffian needs (see the module docstring): exactly the
+    up triangles of the region's last row, each with both of its horizontal
+    neighbours present where the frame row has them."""
+    if not region.free:
+        return []
+    cut = max(i for i, _ in region.triangles)
+    ups = sorted(t for t in region.triangles if t[0] == cut and region.is_up(t))
+    if region.free != set(ups) or any(
+        (cut, p + d) not in region.triangles
+        for _, p in ups
+        for d in (-1, 1)
+        if 0 <= p + d < region.row_len(cut)
+    ):
+        raise ValueError(
+            "free edges must be the lower edges of every up triangle of the "
+            "region's last row, and those triangles' row neighbours present"
+        )
+    return ups
+
+
+def count_free(region: Region) -> int:
+    """Tilings with half lozenges allowed on the region's free edges, as
+    |Pf A| for the boundary-monomer matrix A of the module docstring.
+    Pf(A)^2 = det A, so the count is the square root of the exact
+    determinant, which must be a square."""
+    order = sorted(region.triangles)
+    index = {t: j for j, t in enumerate(order)}
+    size = len(order) + len(order) % 2  # the pad vertex z, when the order is odd
+    rows: list[dict[int, int]] = [{} for _ in range(size)]
+    for t, row in _up_edges(region, weighted=False).items():
+        for d, w in row.items():
+            rows[index[t]][index[d]] = w
+            rows[index[d]][index[t]] = -w
+    free = [index[t] for t in _free_ups(region)] + list(range(len(order), size))
+    for r, s in combinations(range(len(free)), 2):
+        sign = -1 if (r + s) % 2 else 1
+        rows[free[r]][free[s]] = sign
+        rows[free[s]][free[r]] = -sign
+    square = _exact_det(rows)
+    root = math.isqrt(max(square, 0))
+    if root * root != square:
+        raise ArithmeticError(f"the boundary-monomer determinant {square} is not a square")
+    return root
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def check_halves(specs: Sequence[RegionSpec]) -> list[dict]:
             record(spec.text(), "sym-eq-upper-half", hs, tiler.count_hsym(region), "enumeration-filter", "kasteleyn-det")
         )
         out.append(
-            record(spec.text(), "sym-eq-free-half", vs, tiler.count_vsym(region), "enumeration-filter", "profile-dp")
+            record(spec.text(), "sym-eq-free-half", vs, tiler.count_vsym(region), "enumeration-filter", "kasteleyn-pfaffian")
         )
     return out
 
@@ -176,8 +176,8 @@ def check_pfaffian_determinant(specs: Sequence[RegionSpec]) -> list[dict]:
         w2 = tiler.count_weighted2(lower_half_weighted(region))
         s = spec.text()
         out.append(record(s, "pfaffian-eq-det", pf, det, "signed-pfaffian", "determinant"))
-        out.append(record(s, "pfaffian-eq-tiler", pf, free, "signed-pfaffian", "profile-dp"))
-        out.append(record(s, "det-eq-tiler", det, w2, "determinant", "profile-dp"))
+        out.append(record(s, "pfaffian-eq-tiler", pf, free, "signed-pfaffian", "kasteleyn-pfaffian"))
+        out.append(record(s, "det-eq-tiler", det, w2, "determinant", "weighted kasteleyn-det"))
     return out
 
 
@@ -213,12 +213,17 @@ def check_axis_split(specs: Sequence[RegionSpec]) -> list[dict]:
         )
         positions = tiler.axis_cut_positions(region)
         rank_of = {p: r for r, p in enumerate(positions)}
-        det_ok = all(
-            paths.count_left_piece_via_det(spec, tuple(rank_of[p] for p in chosen)) == cnt
-            for chosen, cnt in table
+        bad = next(
+            (
+                chosen
+                for chosen, cnt in table
+                if paths.count_left_piece_via_det(spec, tuple(rank_of[p] for p in chosen)) != cnt
+            ),
+            None,
         )
+        method = "piece determinants" if bad is None else f"piece determinants, first bad subset {bad!r}"
         out.append(
-            record(s, "axis-split-determinants", int(det_ok), 1, "piece determinants", "tiler piece counts")
+            record(s, "axis-split-determinants", int(bad is None), 1, method, "tiler piece counts")
         )
     return out
 
@@ -424,7 +429,8 @@ def check_box_product() -> list[dict]:
 def check_oracles(specs: Sequence[RegionSpec]) -> list[dict]:
     """The counting engines against exhaustive enumeration wherever
     enumeration is feasible: the Kasteleyn determinant on the full region,
-    the profile DP on its free and weighted halves."""
+    the boundary-monomer Pfaffian and the weighted determinant on its free
+    and weighted halves."""
     out = []
     for spec in specs:
         region = build_region(spec)
@@ -443,7 +449,7 @@ def check_oracles(specs: Sequence[RegionSpec]) -> list[dict]:
                     "dp-eq-enumeration-free",
                     dp_free,
                     tiler.count_via_enumeration(half),
-                    "profile-dp",
+                    "kasteleyn-pfaffian",
                     "enumeration",
                 )
             )
@@ -456,7 +462,7 @@ def check_oracles(specs: Sequence[RegionSpec]) -> list[dict]:
                     "dp-eq-enumeration-weighted",
                     dp_w2,
                     tiler.weighted2_via_enumeration(lower),
-                    "profile-dp",
+                    "weighted kasteleyn-det",
                     "enumeration",
                 )
             )

@@ -1,9 +1,12 @@
 import json
 import os
+import time
 
 import pytest
 
+from hexholes import tiler
 from hexholes.cli import main, parse_grid
+from hexholes.tiler import count_plain
 
 
 def run(capsys, *argv):
@@ -102,6 +105,15 @@ def test_bad_spec_exits_nonzero(capsys):
     assert code == 2
 
 
+METHODS = {
+    "full": "kasteleyn-det",
+    "hsym": "half-region kasteleyn-det",
+    "vsym": "half-region kasteleyn-pfaffian",
+    "free-left": "kasteleyn-pfaffian",
+    "weighted-lower": "weighted kasteleyn-det",
+}
+
+
 @pytest.mark.parametrize("cls", ["full", "hsym", "vsym", "free-left", "weighted-lower"])
 def test_count_over_triangle_cap_uses_dp(capsys, cls):
     # one tiling, but 240 triangles: over the enumeration cap of 200
@@ -109,11 +121,28 @@ def test_count_over_triangle_cap_uses_dp(capsys, cls):
     rec = json.loads(out)
     assert code == 0 and rec["pass"] is True
     assert rec["value"] == "1"
+    assert rec["method"] == METHODS[cls]
     if cls == "full":
         assert rec["crosscheck"] == "skipped"
     else:
         # hole-only: the closed forms check the halves and M = M_h * W
         assert rec["crosscheck"] == "ok"
+
+
+@pytest.mark.parametrize("cls, counts_whole_region", [("hsym", True), ("vsym", False)])
+def test_vsym_over_triangle_cap_skips_the_plain_count(capsys, monkeypatch, cls, counts_whole_region):
+    # 304 triangles: past the triangle cap the enumeration gate is shut
+    # without a plain count; hsym still needs one for M = M_h * W
+    sizes = []
+
+    def recording_count_plain(region):
+        sizes.append(len(region.triangles))
+        return count_plain(region)
+
+    monkeypatch.setattr(tiler, "count_plain", recording_count_plain)
+    code, out = run(capsys, "count", "n=8", "m=3", "k=2,4", "--class", cls)
+    assert code == 0 and json.loads(out)["crosscheck"] == "ok"
+    assert (304 in sizes) == counts_whole_region
 
 
 def test_verify_over_triangle_cap(capsys):
@@ -122,10 +151,11 @@ def test_verify_over_triangle_cap(capsys):
     assert json.loads(out)["lhs"] == "1"
 
 
-def test_exceeded_cap_exits_2(capsys, monkeypatch):
-    # main restores the variable the flag sets; see the test below
-    monkeypatch.setenv("HEXHOLES_DP_WIDTH_CAP", "64")
-    code = main(["count", "n=4", "m=1", "--dp-width-cap", "8"])
+def test_exceeded_cap_exits_2(capsys):
+    # a frame past the largest modulus is refused before its cells exist
+    started = time.perf_counter()
+    code = main(["count", "n=3000", "m=1"])
+    assert time.perf_counter() - started < 1
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -156,10 +186,11 @@ def test_polycheck_rejects_holes(capsys):
 @pytest.mark.parametrize("inherited", [None, "64"])
 def test_cap_flags_leave_environment_unchanged(capsys, monkeypatch, inherited):
     if inherited is None:
-        monkeypatch.delenv("HEXHOLES_DP_WIDTH_CAP", raising=False)
+        monkeypatch.delenv("HEXHOLES_ENUM_CAP", raising=False)
     else:
-        monkeypatch.setenv("HEXHOLES_DP_WIDTH_CAP", inherited)
+        monkeypatch.setenv("HEXHOLES_ENUM_CAP", inherited)
     before = dict(os.environ)
-    assert main(["count", "n=4", "m=1", "--dp-width-cap", "8"]) == 2
+    # the cross-check enumerates the 490 tilings: more than the flag allows
+    assert main(["count", "n=4", "m=1", "--enum-cap", "8"]) == 2
     capsys.readouterr()
     assert dict(os.environ) == before

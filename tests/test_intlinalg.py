@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hexholes.intlinalg import (
+    KASTELEYN_PRIMES,
     LabeledMatrix,
     binomial,
     det_cofactor,
@@ -11,6 +13,7 @@ from hexholes.intlinalg import (
     determinant,
     matching_crossings,
     matching_sign,
+    modulus_above,
     perfect_matchings,
     pfaffian_by_matchings,
     pfaffian_elimination,
@@ -142,6 +145,37 @@ def test_det_mod_sparse_matches_bareiss():
                 sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
                 expected = determinant(LabeledMatrix.from_rows(rows)) if n else 1
                 assert det_mod_sparse(sparse, prime) == expected % prime
+
+
+def _lucas_lehmer(e: int) -> bool:
+    """Is 2^e - 1 prime, for an odd prime e?"""
+    q = 2**e - 1
+    s = 4
+    for _ in range(e - 2):
+        s = s * s - 2
+        s = (s & q) + (s >> e)  # 2^e = 1 mod q, so this keeps s mod q
+        if s >= q:
+            s -= q
+    return s == 0
+
+
+def test_kasteleyn_primes_are_mersenne_primes():
+    exponents = [q.bit_length() for q in KASTELEYN_PRIMES]
+    assert KASTELEYN_PRIMES == tuple(2**e - 1 for e in exponents)
+    assert exponents == sorted(exponents)
+    assert all(_lucas_lehmer(e) for e in exponents)
+    # none is skipped up to 2^1279 - 1, where the search is cheap
+    odd_primes = [e for e in range(61, 1280) if all(e % d for d in range(2, math.isqrt(e) + 1))]
+    assert [e for e in odd_primes if _lucas_lehmer(e)] == exponents[:7]
+
+
+def test_modulus_above_picks_the_smallest_sufficient_prime():
+    # q recovers every |x| <= bound exactly when q > 2 * bound
+    for smaller, q in zip((None,) + KASTELEYN_PRIMES, KASTELEYN_PRIMES):
+        lowest = 0 if smaller is None else (smaller + 1) // 2
+        assert modulus_above(lowest) == q
+        assert modulus_above((q - 1) // 2) == q
+    assert modulus_above((KASTELEYN_PRIMES[-1] + 1) // 2) is None
 
 
 @given(st.integers(1, 5), st.integers(0, 2**32 - 1))

@@ -1,10 +1,10 @@
 import pytest
 
-from hexholes import regions
+from hexholes import intlinalg, regions
 from hexholes.regions import (
+    CapExceeded,
     Region,
     RegionSpec,
-    WidthCapExceeded,
     axis_up_triangle_cells,
     build_hexagon,
     build_region,
@@ -56,10 +56,9 @@ def test_hexagon_triangle_count(n, m, count):
     assert _up_count(region) * 2 == count
 
 
-def test_width_cap_refuses_the_frame_before_its_cells(monkeypatch):
-    # the widest frame row has 4m + 2(n + x) - 1 triangles
-    monkeypatch.setenv("HEXHOLES_DP_WIDTH_CAP", "11")
-    assert len(build_region(RegionSpec(4, 1, (1,))).triangles) == 64 - 8
+def test_oversized_frame_is_refused_before_its_cells(monkeypatch):
+    # (n^2 + 4mn) log2(3)/2 bits against the largest modulus, 2^11213 - 1
+    assert len(build_hexagon(116, 1).triangles) == 2 * 116 * 116 + 8 * 116
     built = []
 
     def recording_region(**fields):
@@ -67,11 +66,18 @@ def test_width_cap_refuses_the_frame_before_its_cells(monkeypatch):
         return Region(**fields)
 
     monkeypatch.setattr(regions, "Region", recording_region)
-    with pytest.raises(WidthCapExceeded):
-        build_hexagon(5, 1)
-    with pytest.raises(WidthCapExceeded):
-        build_region(RegionSpec(4, 1, (), 1))
-    assert built == [0, 0]  # only the empty frame probes
+    with pytest.raises(CapExceeded):
+        build_hexagon(117, 1)
+    with pytest.raises(CapExceeded):
+        build_region(RegionSpec(3000, 1))
+    with pytest.raises(CapExceeded):
+        build_region(RegionSpec(2, 1, (), 115))  # the frame has side n + x
+    assert built == []
+    # the refusal follows the modulus list
+    monkeypatch.setattr(intlinalg, "KASTELEYN_PRIMES", (2**61 - 1,))
+    with pytest.raises(CapExceeded):
+        build_hexagon(8, 1)
+    assert built == []
 
 
 def test_hexagon_symmetries_are_involutions():

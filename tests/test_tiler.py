@@ -1,14 +1,15 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexholes import tiler
+from hexholes import intlinalg, tiler
 from hexholes.closedforms import box_tilings
-from hexholes.paths import count_free_via_pfaffian
+from hexholes.paths import count_free_via_pfaffian, count_weighted2_via_det
 from hexholes.regions import (
     CapExceeded,
     Region,
     RegionSpec,
-    WidthCapExceeded,
     build_hexagon,
     build_region,
     left_half_free,
@@ -18,6 +19,7 @@ from hexholes.regions import (
 )
 from hexholes.tiler import (
     EnumerationCapExceeded,
+    _profile_dp,
     axis_cut_positions,
     count_free,
     count_hsym,
@@ -199,9 +201,10 @@ def test_engines_agree_on_random_small_regions(spec):
     assert region.is_symmetric(region.reflect_h)
     assert region.is_symmetric(region.reflect_v)
     plain = count_plain(region)
-    # with no free edges the free-boundary profile DP counts plain tilings
-    assert plain == count_free(region)
-    assert count_plain(upper_half(region)) == count_free(upper_half(region))
+    # the profile DP, not a Kasteleyn engine, is the determinant's oracle
+    assert plain == _profile_dp(region, use_free=False, weighted=False)
+    upper = upper_half(region)
+    assert count_plain(upper) == _profile_dp(upper, use_free=False, weighted=False)
     if plain > 5000:
         return
     assert plain == count_via_enumeration(region)
@@ -215,14 +218,67 @@ def test_engines_agree_on_random_small_regions(spec):
 
 @pytest.mark.parametrize(
     "text, expected",
-    [("n=10 m=3 k=2,4", 113864011680), ("n=12 m=3 k=2,5", 1975424264226990)],
+    [
+        ("n=10 m=3 k=2,4", 113864011680),
+        ("n=12 m=3 k=2,5", 1975424264226990),
+        ("n=16 m=3 k=2,5", 1493935972847216992962000),
+        ("n=20 m=4 k=2,5,9", 105040316829409326791462180181759477120),
+    ],
 )
 def test_free_and_weighted_halves_at_tracking_sizes(text, expected):
-    # the tracking sizes; the closed-form Pfaffian gives the same value
+    # the tracking sizes; the closed-form Pfaffian and determinant give the
+    # same value (the profile DP takes 20 s at n=16)
     spec = RegionSpec.parse(text)
     region = build_region(spec)
     assert count_free(left_half_free(region)) == expected == count_free_via_pfaffian(spec)
-    assert count_weighted2(lower_half_weighted(region)) == expected
+    assert count_weighted2(lower_half_weighted(region)) == expected == count_weighted2_via_det(spec)
+
+
+def test_kasteleyn_halves_at_closed_form_scale():
+    # M = M_h * W by the tiler alone, past any size the profile DP reaches
+    spec = RegionSpec.parse("n=30 m=8 k=3,7")
+    region = build_region(spec)
+    free = count_free(left_half_free(region))
+    assert free == count_free_via_pfaffian(spec)
+    assert count_weighted2(lower_half_weighted(region)) == free
+    assert count_plain(region) == count_hsym(region) * free
+
+
+def _kasteleyn_halves_match_dp(spec):
+    region = build_region(spec)
+    free, lower = left_half_free(region), lower_half_weighted(region)
+    assert count_free(free) == _profile_dp(free, use_free=True, weighted=False), spec.text()
+    assert count_weighted2(lower) == _profile_dp(lower, use_free=False, weighted=True), spec.text()
+
+
+def test_kasteleyn_halves_match_dp_on_grids():
+    # 81 hole-only specs (n <= 7, m <= 3, l <= 2) and 54 rhombus specs
+    specs = iter_specs(range(1, 8), range(1, 4), range(0, 3))
+    specs += iter_specs((2, 4, 6), (1, 2), (0, 1), (1, 2, 3))
+    assert len(specs) == 135
+    for spec in specs:
+        _kasteleyn_halves_match_dp(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_specs())
+def test_kasteleyn_halves_match_dp_on_random_small_regions(spec):
+    _kasteleyn_halves_match_dp(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 2), st.data())
+def test_kasteleyn_halves_match_dp_around_odd_holes(n, m, data):
+    # a mirror pair of side-s axis triangles: odd s needs the defect line
+    apex_row = data.draw(st.integers(0, n - 1).map(lambda r: r - r % 2))
+    side = data.draw(st.integers(1, n - apex_row))
+    region = punch_symmetric_triangle_pair(build_hexagon(n, m), apex_row, side)
+    free = left_half_free(region)
+    assert count_free(free) == _profile_dp(free, use_free=True, weighted=False)
+    if side % 2 == 0 or apex_row + side == n:
+        # lower_half_weighted needs each axis position whole or gone
+        lower = lower_half_weighted(region)
+        assert count_weighted2(lower) == _profile_dp(lower, use_free=False, weighted=True)
 
 
 @pytest.mark.parametrize(
@@ -237,7 +293,7 @@ def test_odd_holes_need_the_defect_line(n, m, apex_row, side, expected):
     # each hole has an odd number of triangles; with every Kasteleyn weight
     # +1 the determinant reads 63911795376, 362601668 and 67677846808
     region = punch_symmetric_triangle_pair(build_hexagon(n, m), apex_row, side)
-    assert count_plain(region) == expected == count_free(region)
+    assert count_plain(region) == expected == _profile_dp(region, use_free=False, weighted=False)
 
 
 def test_kasteleyn_at_a_size_the_dp_finds_slow():
@@ -247,12 +303,35 @@ def test_kasteleyn_at_a_size_the_dp_finds_slow():
 
 def test_kasteleyn_caps(monkeypatch):
     region = build_hexagon(6, 2)  # its Hadamard bound has 62 bits
-    monkeypatch.setattr(tiler, "KASTELEYN_PRIMES", (2**61 - 1,))
+    monkeypatch.setattr(intlinalg, "KASTELEYN_PRIMES", (2**61 - 1,))
     with pytest.raises(CapExceeded):
         count_plain(region)
-    region = build_hexagon(4, 1)  # built before the cap falls under its width
-    monkeypatch.setenv("HEXHOLES_DP_WIDTH_CAP", "8")
-    with pytest.raises(WidthCapExceeded):
-        count_plain(region)
-    with pytest.raises(WidthCapExceeded):
-        count_free(region)
+    monkeypatch.undo()
+    # rows of 69 cells: past the profile DP's width guard, not the engines'
+    wide = build_hexagon(1, 17)
+    assert count_plain(wide) == count_free(wide) == box_tilings(34, 1, 1)
+    with pytest.raises(CapExceeded):
+        _profile_dp(wide, use_free=False, weighted=False)
+
+
+def test_free_count_refuses_a_non_square_determinant(monkeypatch):
+    half = left_half_free(build_region(RegionSpec(2, 1)))
+    assert count_free(half) == 10
+    monkeypatch.setattr(tiler, "det_mod_sparse", lambda rows, prime: 99)
+    with pytest.raises(ArithmeticError):
+        count_free(half)
+
+
+def test_free_count_refuses_layouts_outside_its_sign_argument():
+    # a hole opening onto the cut through a down triangle leaves free ups
+    # without a row neighbour; there the free block's signs are wrong
+    region = punch_symmetric_triangle_pair(build_hexagon(2, 1), 1, 1)
+    half = left_half_free(region)
+    assert _profile_dp(half, use_free=True, weighted=False) == 4
+    with pytest.raises(ValueError):
+        count_free(half)
+    # free marks above the last row, or on only some ups of it
+    half = left_half_free(build_hexagon(2, 1))
+    for free in ({(0, 0)}, {(1, 0)}):
+        with pytest.raises(ValueError):
+            count_free(replace(half, free=frozenset(free)))

@@ -1,5 +1,5 @@
-from hexholes import paths, reduction, verify
-from hexholes.regions import RegionSpec
+from hexholes import paths, reduction, tiler, verify
+from hexholes.regions import RegionSpec, build_region
 
 
 def test_iter_specs_is_lexicographic_and_valid():
@@ -88,4 +88,27 @@ def test_failed_entry_records_name_the_first_bad_entry(monkeypatch):
         "lhs": "0",
         "pass": False,
         "method_lhs": "difference transform of reduced block, first bad entry ('1-', 1)",
+    }
+
+
+def test_failed_axis_split_record_names_the_first_bad_subset(monkeypatch):
+    spec = RegionSpec(2, 1, (), 1)
+    good = verify.check_axis_split([spec])[2]
+    assert good == verify.record(spec.text(), "axis-split-determinants", 1, 1, "piece determinants", "tiler piece counts")
+    table = tiler.split_by_axis(spec)
+    rank_of = {p: r for r, p in enumerate(tiler.axis_cut_positions(build_region(spec)))}
+    (first_bad, _), (second_bad, _) = table[2], table[4]
+    bad_ranks = {tuple(rank_of[p] for p in chosen) for chosen in (first_bad, second_bad)}
+    real = paths.count_left_piece_via_det
+
+    def off_by_one(spec, ranks):
+        return real(spec, ranks) + (ranks in bad_ranks)
+
+    monkeypatch.setattr(paths, "count_left_piece_via_det", off_by_one)
+    bad = verify.check_axis_split([spec])[2]
+    assert bad == {
+        **good,
+        "lhs": "0",
+        "pass": False,
+        "method_lhs": f"piece determinants, first bad subset {first_bad!r}",
     }
