@@ -188,13 +188,13 @@ def cmd_polycheck(args) -> int:
 def cmd_selftest(args) -> int:
     failures = 0
     for name in verify.SUITES:
-        started = time.time()
+        started = time.perf_counter()
         records = verify.run_suite(name, trials=args.trials, seed=args.seed)
         bad = sum(1 for rec in records if not rec["pass"])
         failures += bad
         status = "PASS" if bad == 0 else f"FAIL({bad})"
         print(
-            f"{name:24s} {status:9s} {len(records):4d} checks  {time.time() - started:6.2f}s"
+            f"{name:24s} {status:9s} {len(records):4d} checks  {time.perf_counter() - started:6.2f}s"
         )
     print("selftest:", "PASS" if failures == 0 else f"FAIL ({failures} checks)")
     return 1 if failures else 0

@@ -15,7 +15,8 @@ Two kinds of engine, on arbitrary-precision integers:
   - `count_free` is |Pf A| for the boundary-monomer matrix A below
     (Giuliani, Jauslin and Lieb, J. Stat. Phys. 2016), the graph form of
     the free-endpoint Pfaffian of `paths`.
-  Each is polynomial in the region size.
+  Each is polynomial in the region size, and each assembles its matrix
+  from `_frame`, the region's frame laid out once per call as integers.
 * exhaustive backtracking enumeration (the oracles, capped): plain and
   weighted counts, and both symmetry classes by definition, from one
   enumeration that keeps the tilings each reflection fixes.
@@ -55,9 +56,9 @@ from __future__ import annotations
 
 import math
 import os
-from collections import defaultdict
-from itertools import combinations
-from typing import Iterator
+import re
+from itertools import accumulate, combinations
+from typing import Iterator, NamedTuple, Sequence
 
 from . import intlinalg
 from .intlinalg import det_mod_sparse, modulus_above
@@ -271,19 +272,58 @@ def _profile_dp(region: Region, use_free: bool, weighted: bool) -> int:
 # Kasteleyn matrices
 
 
-def _corners(region: Region, t: Triangle) -> tuple[tuple[int, int], ...]:
-    """Lattice points of t's three corners as (doubled x, line): row i lies
-    between lines i and i + 1, and each row starts half a unit left of the
-    longer of its two lines."""
-    i, p = t
-    left = p - (region.row_len(i) + 1) // 2
-    if region.is_up(t):
-        return ((left, i + 1), (left + 2, i + 1), (left + 1, i))
-    return ((left, i), (left + 2, i), (left + 1, i + 1))
+class _Frame(NamedTuple):
+    """A region's frame laid out as integers, once per engine call.
+
+    Frame cell (i, p) is number offsets[i] + p, and one padding cell sits
+    before each row and after the last, so a row neighbour past either
+    end of a row is a padding cell.  `cell` maps a frame cell to the index
+    of its present triangle in row-major order, -1 for a missing or
+    padding cell.  The other lists run over the present triangles: `at` is
+    the frame cell, `up` the orientation, `left`/`right` the row
+    neighbours and `below` an up triangle's vertical partner (-1 for a down
+    triangle, and where the partner is absent)."""
+
+    lens: list[int]
+    offsets: list[int]
+    cell: list[int]
+    at: list[int]
+    up: list[bool]
+    left: list[int]
+    right: list[int]
+    below: list[int]
 
 
-def _defect_line(region: Region) -> set[Triangle]:
-    """Up triangles whose vertical edge the Kasteleyn signing negates.
+def _frame(region: Region) -> _Frame:
+    side, rows = region.side, region.num_rows
+    lens = [region.row_len(i) for i in range(rows)]
+    offsets = list(accumulate((w + 1 for w in lens), initial=1))
+    at = sorted([offsets[i] + p for i, p in region.triangles])
+    cell = [-1] * offsets[-1]
+    for j, f in enumerate(at):
+        cell[f] = j
+    # every row has odd length, so every offset is odd: the up cells have
+    # odd numbers in the upper rows and even numbers in the lower rows
+    lower_start = offsets[side]
+    up = [(f + (f >= lower_start)) % 2 == 1 for f in at]
+    beneath = [-1] * len(cell)  # up cell -> index of its vertical partner
+    for i in range(rows - 1):
+        first, end = offsets[i] + (i >= side), offsets[i] + lens[i]
+        # the partner is in the next row, shifted by half the length change
+        start = first + offsets[i + 1] - offsets[i] + (lens[i + 1] - lens[i]) // 2
+        beneath[first:end:2] = cell[start : start + end - first : 2]
+    below = [beneath[f] for f in at]
+    left = [cell[f - 1] for f in at]
+    right = [cell[f + 1] for f in at]
+    return _Frame(lens, offsets, cell, at, up, left, right, below)
+
+
+_MISSING_RUN = re.compile(rb"\x01+")
+
+
+def _defect_line(frame: _Frame) -> set[int]:
+    """Indices of the up triangles whose vertical edge the Kasteleyn
+    signing negates.
 
     With every edge weighted +1, a face of the honeycomb graph satisfies
     Kasteleyn's cycle rule exactly when it encloses an even number of
@@ -295,57 +335,90 @@ def _defect_line(region: Region) -> set[Triangle]:
     leaves every other face's parity unchanged; where two lines cross the
     same edge, they cancel.  Holes reaching the frame's last row are part
     of the outer face and need no line.
+
+    The grouping runs over maximal runs of missing cells along a row.  Row
+    i lies between lines i and i + 1 of lattice points, and each row starts
+    half a unit left of the longer of its two lines; in doubled abscissae,
+    an up cell p has corners p - h and p - h + 2 below it and p - h + 1
+    above it, a down cell the reverse (h is half the row length, rounded
+    up).  So the corners a run touches on each of its two lines form one
+    interval, and two runs share a corner exactly when their intervals on
+    a common line overlap.
     """
-    missing = [
-        (i, p)
-        for i in range(region.num_rows)
-        for p in range(region.row_len(i))
-        if (i, p) not in region.triangles
-    ]
-    parent = {t: t for t in missing}
+    lens, offsets, cell = frame.lens, frame.offsets, frame.cell
+    rows = len(lens)
+    side = rows // 2
+    missing = bytearray(b"\x01") * len(cell)
+    for f in frame.at:
+        missing[f] = 0
+    runs: list[tuple[int, int, int]] = []  # (row, first, last position), row-major
+    lines: list[list[tuple[int, int, int]]] = [[] for _ in range(rows + 1)]  # (from, to, run)
+    for i, w in enumerate(lens):
+        base, h, lower = offsets[i], (w + 1) // 2, i >= side
+        for run in _MISSING_RUN.finditer(missing, base, base + w):
+            a, b = run.start() - base, run.end() - 1 - base
+            up_a, up_b = (a + lower) % 2 == 0, (b + lower) % 2 == 0
+            lines[i].append((a - h + up_a, b - h + 2 - up_b, len(runs)))
+            lines[i + 1].append((a - h + 1 - up_a, b - h + 1 + up_b, len(runs)))
+            runs.append((i, a, b))
+    parent = list(range(len(runs)))
 
-    def root(t: Triangle) -> Triangle:
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
+    def root(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
 
-    first_at: dict[tuple[int, int], Triangle] = {}
-    for t in missing:
-        for corner in _corners(region, t):
-            parent[root(first_at.setdefault(corner, t))] = root(t)
-    holes: dict[Triangle, list[Triangle]] = defaultdict(list)
-    for t in missing:
-        holes[root(t)].append(t)
-    flipped: set[Triangle] = set()
-    for cells in holes.values():
-        low = max(i for i, _ in cells)
-        if len(cells) % 2 == 0 or low == region.num_rows - 1:
+    for line in lines:
+        line.sort()
+        reach = -math.inf
+        for lo, hi, r in line:
+            if lo <= reach:
+                parent[root(r)] = root(group)
+                reach = max(reach, hi)
+            else:
+                group, reach = r, hi
+    odd: dict[int, bool] = {}
+    last: dict[int, tuple[int, int]] = {}  # lowest row, rightmost position there
+    for r, (i, a, b) in enumerate(runs):
+        g = root(r)
+        odd[g] = odd.get(g, False) != ((b - a) % 2 == 0)
+        last[g] = (i, b)
+    flipped: set[int] = set()
+    for g, is_odd in odd.items():
+        low, right = last[g]
+        if not is_odd or low == rows - 1:
             continue
-        right = max(p for i, p in cells if i == low)
-        flipped ^= {
-            (low, p) for p in range(right + 1, region.row_len(low)) if region.is_up((low, p))
-        }
+        first = right + 1 + (right + 1 + (low >= side)) % 2  # the first up past it
+        base = offsets[low]
+        flipped ^= {cell[base + p] for p in range(first, lens[low], 2) if cell[base + p] >= 0}
     return flipped
 
 
-def _up_edges(region: Region, weighted: bool) -> dict[Triangle, dict[Triangle, int]]:
+def _up_edges(
+    region: Region, frame: _Frame, weighted: bool, column: Sequence[int]
+) -> list[tuple[int, dict[int, int]]]:
     """Each up triangle's Kasteleyn-signed edges to its down neighbours,
-    ups in row-major order.  An edge weighs 1, a vertical edge that a
-    defect line crosses -1, and with `weighted` each horizontal edge of a
-    special triangle 2; the axis lozenge's vertical edge keeps weight 1."""
-    flipped = _defect_line(region)
-    edges = {}
-    for t in sorted(region.triangles):
-        if not region.is_up(t):
+    as (up index, {column[down index]: weight}), ups in row-major order.
+    An edge weighs 1, a vertical edge that a defect line crosses -1, and
+    with `weighted` each horizontal edge of a special triangle 2; the axis
+    lozenge's vertical edge keeps weight 1."""
+    flipped = _defect_line(frame)
+    cell, offsets = frame.cell, frame.offsets
+    special = {cell[offsets[i] + p] for i, p in region.special} if weighted else set()
+    edges = []
+    for j, (is_up, left, right, below) in enumerate(zip(frame.up, frame.left, frame.right, frame.below)):
+        if not is_up:
             continue
-        i, p = t
-        w = 2 if weighted and t in region.special else 1
-        row = {d: w for d in ((i, p - 1), (i, p + 1)) if d in region.triangles}
-        below = region.vertical_partner(t)
-        if below in region.triangles:
-            row[below] = -1 if t in flipped else 1
-        edges[t] = row
+        w = 2 if j in special else 1
+        row = {}
+        if left >= 0:
+            row[column[left]] = w
+        if right >= 0:
+            row[column[right]] = w
+        if below >= 0:
+            row[column[below]] = -1 if j in flipped else 1
+        edges.append((j, row))
     return edges
 
 
@@ -368,11 +441,13 @@ def _count_det(region: Region, weighted: bool) -> int:
     """|det K|, K with a row per up and a column per down triangle, both in
     row-major order, so it is banded: an up's vertical partner sits about
     half a frame row off its diagonal position."""
-    edges = _up_edges(region, weighted)
-    column = {t: j for j, t in enumerate(t for t in sorted(region.triangles) if not region.is_up(t))}
-    if len(edges) != len(column):
+    frame = _frame(region)
+    # a down's column is its rank among the downs: its index less the ups before it
+    column = [j - ups for j, ups in enumerate(accumulate(frame.up, initial=0))]
+    edges = _up_edges(region, frame, weighted, column)
+    if 2 * len(edges) != len(frame.at):
         return 0
-    return abs(_exact_det([{column[d]: w for d, w in row.items()} for row in edges.values()]))
+    return abs(_exact_det([row for _, row in edges]))
 
 
 def count_plain(region: Region) -> int:
@@ -415,15 +490,15 @@ def count_free(region: Region) -> int:
     |Pf A| for the boundary-monomer matrix A of the module docstring.
     Pf(A)^2 = det A, so the count is the square root of the exact
     determinant, which must be a square."""
-    order = sorted(region.triangles)
-    index = {t: j for j, t in enumerate(order)}
-    size = len(order) + len(order) % 2  # the pad vertex z, when the order is odd
+    frame = _frame(region)
+    count = len(frame.at)
+    size = count + count % 2  # the pad vertex z, when the order is odd
     rows: list[dict[int, int]] = [{} for _ in range(size)]
-    for t, row in _up_edges(region, weighted=False).items():
+    for u, row in _up_edges(region, frame, False, range(count)):
+        rows[u] = row
         for d, w in row.items():
-            rows[index[t]][index[d]] = w
-            rows[index[d]][index[t]] = -w
-    free = [index[t] for t in _free_ups(region)] + list(range(len(order), size))
+            rows[d][u] = -w
+    free = [frame.cell[frame.offsets[i] + p] for i, p in _free_ups(region)] + list(range(count, size))
     for r, s in combinations(range(len(free)), 2):
         sign = -1 if (r + s) % 2 else 1
         rows[free[r]][free[s]] = sign

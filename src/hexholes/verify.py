@@ -336,25 +336,29 @@ def check_reduction(trials: int = 200, seed: int = 7, m_max: int = 4, l_max: int
             )
         )
         folded = reduction.fold_transform(a)
-        zero_ok = _fold_zero_blocks_ok(folded, a, m, l)
-        out.append(record(name, "fold-zero-blocks", int(zero_ok), 1, "folded matrix", "expected"))
+        bad = _first_bad_fold_entry(folded, a, m, l)
+        where = "" if bad is None else f", first bad entry {bad!r}"
+        out.append(record(name, "fold-zero-blocks", int(bad is None), 1, f"folded matrix{where}", "expected"))
     return out
 
 
-def _fold_zero_blocks_ok(folded: LabeledMatrix, original: LabeledMatrix, m: int, l: int) -> bool:
+def _first_bad_fold_entry(folded: LabeledMatrix, original: LabeledMatrix, m: int, l: int) -> tuple | None:
+    """The (row, column) labels of the first entry, in checking order, where
+    the folded matrix breaks its proven blocks: zero on (nonpositive,
+    nonpositive) and (nonpositive, minus), the original on (nonpositive,
+    plus).  None when it keeps them all."""
     from .intlinalg import minus_label, plus_label
 
-    nonpos = [i for i in range(-m + 1, 1)]
-    for i in nonpos:
-        for j in nonpos:
+    for i in range(-m + 1, 1):
+        for j in range(-m + 1, 1):
             if folded.get(i, j) != 0:
-                return False
+                return (i, j)
         for t in range(1, l + 1):
             if folded.get(i, minus_label(t)) != 0:
-                return False
+                return (i, minus_label(t))
             if folded.get(i, plus_label(t)) != original.get(i, plus_label(t)):
-                return False
-    return True
+                return (i, plus_label(t))
+    return None
 
 
 def check_reduction_chain(specs: Sequence[RegionSpec]) -> list[dict]:

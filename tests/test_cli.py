@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from hexholes import tiler
+from hexholes import tiler, verify
 from hexholes.cli import main, parse_grid
 from hexholes.tiler import count_plain
 
@@ -194,3 +194,13 @@ def test_cap_flags_leave_environment_unchanged(capsys, monkeypatch, inherited):
     assert main(["count", "n=4", "m=1", "--enum-cap", "8"]) == 2
     capsys.readouterr()
     assert dict(os.environ) == before
+
+
+def test_selftest_times_its_suites_with_a_monotonic_clock(capsys, monkeypatch):
+    # the wall clock can jump; a suite's time must not come from it
+    monkeypatch.setattr(verify, "SUITES", {"box-product": verify.SUITES["box-product"]})
+    monkeypatch.setattr(time, "time", lambda: pytest.fail("selftest read the wall clock"))
+    code, out = run(capsys, "selftest")
+    assert code == 0
+    assert out.splitlines()[0].split()[:2] == ["box-product", "PASS"]
+    assert out.splitlines()[-1] == "selftest: PASS"

@@ -1,9 +1,11 @@
+from collections import defaultdict
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexholes import intlinalg, tiler
+from hexholes import intlinalg, tiler, verify
 from hexholes.closedforms import box_tilings
 from hexholes.paths import count_free_via_pfaffian, count_weighted2_via_det
 from hexholes.regions import (
@@ -335,3 +337,150 @@ def test_free_count_refuses_layouts_outside_its_sign_argument():
     for free in ({(0, 0)}, {(1, 0)}):
         with pytest.raises(ValueError):
             count_free(replace(half, free=frozenset(free)))
+
+
+# ---------------------------------------------------------------------------
+# the engines' matrices against their tuple-based assembly
+
+
+def _corners(region, t):
+    """Lattice points of t's three corners as (doubled x, line)."""
+    i, p = t
+    left = p - (region.row_len(i) + 1) // 2
+    if region.is_up(t):
+        return ((left, i + 1), (left + 2, i + 1), (left + 1, i))
+    return ((left, i), (left + 2, i), (left + 1, i + 1))
+
+
+def _defect_line_by_tuples(region):
+    """The up triangles whose vertical edge a defect line crosses, from a
+    union-find over every missing frame triangle by shared corners."""
+    missing = [
+        (i, p)
+        for i in range(region.num_rows)
+        for p in range(region.row_len(i))
+        if (i, p) not in region.triangles
+    ]
+    parent = {t: t for t in missing}
+
+    def root(t):
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    first_at = {}
+    for t in missing:
+        for corner in _corners(region, t):
+            parent[root(first_at.setdefault(corner, t))] = root(t)
+    holes = defaultdict(list)
+    for t in missing:
+        holes[root(t)].append(t)
+    flipped = set()
+    for cells in holes.values():
+        low = max(i for i, _ in cells)
+        if len(cells) % 2 and low < region.num_rows - 1:
+            right = max(p for i, p in cells if i == low)
+            flipped ^= {
+                (low, p) for p in range(right + 1, region.row_len(low)) if region.is_up((low, p))
+            }
+    return flipped
+
+
+def _up_edges_by_tuples(region, weighted):
+    flipped = _defect_line_by_tuples(region)
+    edges = {}
+    for t in sorted(region.triangles):
+        if region.is_up(t):
+            i, p = t
+            w = 2 if weighted and t in region.special else 1
+            row = {d: w for d in ((i, p - 1), (i, p + 1)) if d in region.triangles}
+            below = region.vertical_partner(t)
+            if below in region.triangles:
+                row[below] = -1 if t in flipped else 1
+            edges[t] = row
+    return edges
+
+
+def _kasteleyn_by_tuples(region, weighted):
+    """K, or None when the ups and downs differ in number."""
+    edges = _up_edges_by_tuples(region, weighted)
+    downs = [t for t in sorted(region.triangles) if not region.is_up(t)]
+    if len(edges) != len(downs):
+        return None
+    column = {t: j for j, t in enumerate(downs)}
+    return [{column[d]: w for d, w in row.items()} for row in edges.values()]
+
+
+def _monomer_by_tuples(region):
+    """The boundary-monomer matrix A of the tiler's module docstring."""
+    order = sorted(region.triangles)
+    index = {t: j for j, t in enumerate(order)}
+    size = len(order) + len(order) % 2
+    rows = [{} for _ in range(size)]
+    for t, row in _up_edges_by_tuples(region, weighted=False).items():
+        for d, w in row.items():
+            rows[index[t]][index[d]] = w
+            rows[index[d]][index[t]] = -w
+    free = [index[t] for t in sorted(region.free)] + list(range(len(order), size))
+    for r, s in combinations(range(len(free)), 2):
+        rows[free[r]][free[s]] = (-1) ** (r + s)
+        rows[free[s]][free[r]] = -((-1) ** (r + s))
+    return rows
+
+
+def _assembled(engine, region):
+    """The matrix an engine hands to its exact determinant, None if none."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tiler, "_exact_det", lambda rows: seen.append(rows) or 0)
+        engine(region)
+    return seen[0] if seen else None
+
+
+def _assert_matrices_match_tuples(region):
+    assert _assembled(count_plain, region) == _kasteleyn_by_tuples(region, weighted=False)
+    if region.special:
+        assert _assembled(count_weighted2, region) == _kasteleyn_by_tuples(region, weighted=True)
+    if region.free:
+        assert _assembled(count_free, region) == _monomer_by_tuples(region)
+
+
+def test_matrices_match_tuple_assembly_on_the_default_grid():
+    specs = iter_specs(**verify.DEFAULT_GRID)
+    assert len(specs) == 38
+    for spec in specs:
+        region = build_region(spec)
+        for part in (region, upper_half(region), lower_half_weighted(region), left_half_free(region)):
+            _assert_matrices_match_tuples(part)
+
+
+def test_matrices_match_tuple_assembly_on_triangle_pairs():
+    lined = 0
+    for n in range(1, 8):
+        for m in (1, 2):
+            for apex_row in range(n):
+                for side in range(1, n - apex_row + 1):
+                    try:
+                        region = punch_symmetric_triangle_pair(build_hexagon(n, m), apex_row, side)
+                    except ValueError:
+                        continue  # the pair overlaps its own mirror image
+                    _assert_matrices_match_tuples(region)
+                    _assert_matrices_match_tuples(upper_half(region))
+                    lined += bool(_defect_line_by_tuples(region))
+    assert lined == 68  # pairs whose holes need a defect line
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 2), st.data())
+def test_matrices_match_tuple_assembly_around_random_odd_holes(n, m, data):
+    # missing cells anywhere but the last row, the one row without defect
+    # lines, which stays whole so that its ups may all be free
+    hexagon = build_hexagon(n, m)
+    last = hexagon.num_rows - 1
+    inner = sorted(t for t in hexagon.triangles if t[0] < last)
+    holes = data.draw(st.sets(st.sampled_from(inner), min_size=1, max_size=10))
+    region = replace(hexagon, triangles=hexagon.triangles - holes)
+    ups = sorted(t for t in region.triangles if region.is_up(t))
+    special = data.draw(st.sets(st.sampled_from(ups), min_size=1, max_size=4))
+    free = frozenset(t for t in ups if t[0] == last)
+    _assert_matrices_match_tuples(replace(region, special=frozenset(special), free=free))

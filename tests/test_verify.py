@@ -112,3 +112,29 @@ def test_failed_axis_split_record_names_the_first_bad_subset(monkeypatch):
         "pass": False,
         "method_lhs": f"piece determinants, first bad subset {first_bad!r}",
     }
+
+
+def test_failed_fold_record_names_the_first_bad_entry(monkeypatch):
+    good = verify.check_reduction(trials=4, seed=1)
+    assert [rec["identity"] for rec in good[:2]] == ["reduction-certificate", "fold-zero-blocks"]
+    assert all(rec["pass"] for rec in good)
+    real = reduction.fold_transform
+
+    def corrupted(a):
+        folded = real(a)
+        folded.rows[folded.row_labels.index(0)][folded.col_labels.index(0)] += 1
+        return folded
+
+    monkeypatch.setattr(reduction, "fold_transform", corrupted)
+    bad = verify.check_reduction(trials=4, seed=1)
+    for before, after in zip(good, bad, strict=True):
+        if before["identity"] == "fold-zero-blocks":
+            assert before["method_lhs"] == "folded matrix"
+            assert after == {
+                **before,
+                "lhs": "0",
+                "pass": False,
+                "method_lhs": "folded matrix, first bad entry (0, 0)",
+            }
+        else:
+            assert after == before
