@@ -12,10 +12,8 @@ printed to stdout as one record, `{"error": "...", "pass": false}`.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
-import os
 import re
 import sys
 import time
@@ -73,24 +71,6 @@ def emit(records: list[dict], fmt: str, out=None) -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-@contextlib.contextmanager
-def _cap_flags(args):
-    """Hand --enum-cap to the enumeration through HEXHOLES_ENUM_CAP for one
-    command, then restore the variable."""
-    if args.enum_cap is None:
-        yield
-        return
-    saved = os.environ.get("HEXHOLES_ENUM_CAP")
-    os.environ["HEXHOLES_ENUM_CAP"] = str(args.enum_cap)
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ["HEXHOLES_ENUM_CAP"]
-        else:
-            os.environ["HEXHOLES_ENUM_CAP"] = saved
-
-
 # ---------------------------------------------------------------------------
 # count
 
@@ -103,7 +83,7 @@ def cmd_count(args) -> int:
     if cls == "full":
         value = tiler.count_plain(region)
         method = "kasteleyn-det"
-        if tiler.enumerable(region, value, args.crosscheck_limit):
+        if tiler.enumerable(region, value):
             crosscheck = "ok" if tiler.count_via_enumeration(region) == value else "MISMATCH"
     elif cls in ("hsym", "vsym"):
         hsym = cls == "hsym"
@@ -111,9 +91,9 @@ def cmd_count(args) -> int:
         method = "half-region kasteleyn-det" if hsym else "half-region kasteleyn-pfaffian"
         # the enumeration gate needs the plain count only within the
         # triangle cap; M = M_h * W below needs it for hsym everywhere
-        within_cap = len(region.triangles) <= tiler.triangle_cap_default()
+        within_cap = len(region.triangles) <= tiler.TRIANGLE_CAP
         plain = tiler.count_plain(region) if hsym or within_cap else None
-        if within_cap and tiler.enumerable(region, plain, args.crosscheck_limit):
+        if within_cap and tiler.enumerable(region, plain):
             expected = tiler.symmetric_via_enumeration(region)[0 if hsym else 1]
             crosscheck = "ok" if expected == value else "MISMATCH"
         elif hsym and not spec.central_x:
@@ -157,11 +137,14 @@ def cmd_count(args) -> int:
 def cmd_verify(args) -> int:
     grid = parse_grid(" ".join(args.grid)) if args.grid else None
     names = list(verify.SUITES) if args.target == "all" else [args.target]
-    failures = 0
+    checked = failures = 0
     for name in names:
         records = verify.run_suite(name, grid=grid, trials=args.trials, seed=args.seed)
+        checked += len(records)
         failures += sum(1 for rec in records if not rec["pass"])
         emit(records, args.format)
+    if not checked:
+        raise ValueError(f"verify {args.target} checked nothing: the grid or --trials selects no instance")
     return 1 if failures else 0
 
 
@@ -213,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--trials", type=int, default=int(os.environ.get("HEXHOLES_TRIALS", 200)))
-        p.add_argument("--enum-cap", type=int, default=None)
+        p.add_argument("--trials", type=int, default=200)
 
     p = sub.add_parser("count", help="count tilings of one region")
     p.add_argument("spec", nargs="+", help="region spec tokens, e.g. n=2 m=1 k=1")
@@ -224,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("full", "hsym", "vsym", "free-left", "weighted-lower"),
         default="full",
     )
-    p.add_argument("--crosscheck-limit", type=int, default=verify.ENUM_LIMIT)
     common(p)
     p.set_defaults(func=cmd_count)
 
@@ -240,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_polycheck)
 
-    p = sub.add_parser("selftest", help="run every suite at default caps")
+    p = sub.add_parser("selftest", help="run every suite on its default grid")
     common(p)
     p.set_defaults(func=cmd_selftest)
 
@@ -250,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with _cap_flags(args):
-            return args.func(args)
+        return args.func(args)
     except (ValueError, CapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         if args.format == "json":

@@ -35,11 +35,8 @@ from .regions import CapExceeded, RegionSpec
 
 Point = tuple[int, int]
 
-DEFAULT_FAMILY_CAP = 100_000
-
-
-class FamilyCapExceeded(CapExceeded):
-    pass
+# most candidate path families a brute-force family oracle may combine
+FAMILY_CAP = 2_000_000
 
 
 def hole_sign(l: int) -> int:
@@ -321,7 +318,6 @@ class EndlineFamilies:
 def brute_force_endline_families(
     starts: Sequence[Point],
     ipoints: Sequence[Point],
-    cap: int = DEFAULT_FAMILY_CAP,
 ) -> EndlineFamilies:
     """Enumerate non-intersecting families where each path runs from its
     start to some point of the ordered endpoint list.
@@ -340,8 +336,8 @@ def brute_force_endline_families(
                 opts.append((u, path))
         candidates.append(opts)
         combos *= max(len(opts), 1)
-        if combos > cap:
-            raise FamilyCapExceeded(f"more than {cap} candidate families")
+        if combos > FAMILY_CAP:
+            raise CapExceeded(f"more than {FAMILY_CAP} candidate families")
         if not opts:
             return EndlineFamilies(0, 0, frozenset())
 
@@ -384,7 +380,6 @@ def brute_force_fixed_families(
     starts: Sequence[Point],
     ends: Sequence[Point],
     diagonal: bool = False,
-    cap: int = DEFAULT_FAMILY_CAP,
 ) -> int:
     """Weighted count of non-intersecting families with path i running from
     starts[i] to ends[i] (the LGV setting)."""
@@ -393,8 +388,8 @@ def brute_force_fixed_families(
     for s, e in zip(starts, ends, strict=True):
         opts = list(_monotone_paths(s, e, diagonal))
         combos *= max(len(opts), 1)
-        if combos > cap:
-            raise FamilyCapExceeded(f"more than {cap} candidate families")
+        if combos > FAMILY_CAP:
+            raise CapExceeded(f"more than {FAMILY_CAP} candidate families")
         if not opts:
             return 0
         candidates.append(opts)

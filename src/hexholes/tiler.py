@@ -55,7 +55,6 @@ of tiles covering every triangle of the region exactly once.
 from __future__ import annotations
 
 import math
-import os
 import re
 from itertools import accumulate, combinations
 from typing import Iterator, NamedTuple, Sequence
@@ -75,45 +74,30 @@ from .regions import (
 Tile = tuple[Triangle, ...]
 Tiling = frozenset
 
-DEFAULT_ENUM_CAP = 1_000_000
-DEFAULT_TRIANGLE_CAP = 200
+# the reach of the enumeration oracle: `enumerable` admits a region with at
+# most ENUM_LIMIT tilings and TRIANGLE_CAP triangles, and `enumerate_tilings`
+# refuses anything past either
+ENUM_LIMIT = 50_000
+TRIANGLE_CAP = 200
 # widest frame row the profile DP sweeps: its states can double per cell
 DP_WIDTH_CAP = 64
-
-
-class EnumerationCapExceeded(CapExceeded):
-    pass
-
-
-def enum_cap_default() -> int:
-    return int(os.environ.get("HEXHOLES_ENUM_CAP", DEFAULT_ENUM_CAP))
-
-
-def triangle_cap_default() -> int:
-    return int(os.environ.get("HEXHOLES_TRIANGLE_CAP", DEFAULT_TRIANGLE_CAP))
 
 
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 
 
-def enumerate_tilings(
-    region: Region,
-    enum_cap: int | None = None,
-    triangle_cap: int | None = None,
-) -> Iterator[Tiling]:
+def enumerate_tilings(region: Region) -> Iterator[Tiling]:
     """Yield every tiling exactly once, in a deterministic order.
 
     Branches on the lexicographically least uncovered triangle; at each
     branch the options are tried in the fixed order horizontal pair,
-    vertical pair, half lozenge.  Raises EnumerationCapExceeded when more
-    than enum_cap tilings exist.
+    vertical pair, half lozenge.  Raises CapExceeded on a region of more
+    than TRIANGLE_CAP triangles or once more than ENUM_LIMIT tilings exist.
     """
-    cap = enum_cap_default() if enum_cap is None else enum_cap
-    tri_cap = triangle_cap_default() if triangle_cap is None else triangle_cap
-    if len(region.triangles) > tri_cap:
-        raise EnumerationCapExceeded(
-            f"region has {len(region.triangles)} triangles, cap is {tri_cap}"
+    if len(region.triangles) > TRIANGLE_CAP:
+        raise CapExceeded(
+            f"region has {len(region.triangles)} triangles, cap is {TRIANGLE_CAP}"
         )
     order = sorted(region.triangles)
     covered: set[Triangle] = set()
@@ -126,8 +110,8 @@ def enumerate_tilings(
             idx += 1
         if idx == len(order):
             emitted += 1
-            if emitted > cap:
-                raise EnumerationCapExceeded(f"more than {cap} tilings")
+            if emitted > ENUM_LIMIT:
+                raise CapExceeded(f"more than {ENUM_LIMIT} tilings")
             yield frozenset(tiles)
             return
         t = order[idx]
@@ -161,10 +145,10 @@ def enumerate_tilings(
     yield from extend(0)
 
 
-def enumerable(region: Region, count: int, limit: int) -> bool:
+def enumerable(region: Region, count: int) -> bool:
     """May a region with `count` tilings be enumerated as an oracle: at most
-    `limit` tilings and no more triangles than the triangle cap?"""
-    return count <= limit and len(region.triangles) <= triangle_cap_default()
+    ENUM_LIMIT tilings and TRIANGLE_CAP triangles?"""
+    return count <= ENUM_LIMIT and len(region.triangles) <= TRIANGLE_CAP
 
 
 def count_via_enumeration(region: Region) -> int:

@@ -1,5 +1,4 @@
 import json
-import os
 import time
 
 import pytest
@@ -183,17 +182,42 @@ def test_polycheck_rejects_holes(capsys):
     assert captured.err.startswith("error: polycheck takes a plain hexagon spec")
 
 
-@pytest.mark.parametrize("inherited", [None, "64"])
-def test_cap_flags_leave_environment_unchanged(capsys, monkeypatch, inherited):
-    if inherited is None:
-        monkeypatch.delenv("HEXHOLES_ENUM_CAP", raising=False)
-    else:
-        monkeypatch.setenv("HEXHOLES_ENUM_CAP", inherited)
-    before = dict(os.environ)
-    # the cross-check enumerates the 490 tilings: more than the flag allows
-    assert main(["count", "n=4", "m=1", "--enum-cap", "8"]) == 2
-    capsys.readouterr()
-    assert dict(os.environ) == before
+def test_environment_sets_no_cap(capsys, monkeypatch):
+    # the caps are module constants; no variable reaches the records
+    for var in ("HEXHOLES_ENUM_CAP", "HEXHOLES_TRIANGLE_CAP", "HEXHOLES_TRIALS"):
+        monkeypatch.delenv(var, raising=False)
+    commands = (["count", "n=4", "m=1"], ["verify", "reduction"])
+    plain = [run(capsys, *argv) for argv in commands]
+    monkeypatch.setenv("HEXHOLES_ENUM_CAP", "8")
+    monkeypatch.setenv("HEXHOLES_TRIANGLE_CAP", "5")
+    monkeypatch.setenv("HEXHOLES_TRIALS", "1")
+    assert [run(capsys, *argv) for argv in commands] == plain
+    assert plain[0][0] == 0 and json.loads(plain[0][1])["crosscheck"] == "ok"
+    assert plain[1][0] == 0 and plain[1][1].count("\n") > 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "factorization", "--grid", "n<=0"],
+        ["verify", "factorization", "--grid", "n=2 l=3"],
+        ["verify", "reduction", "--trials", "-3"],
+    ],
+)
+def test_verify_that_checks_nothing_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: verify {argv[1]} checked nothing")
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.out) == {"error": captured.err[len("error: ") : -1], "pass": False}
+
+
+def test_polycheck_rejects_negative_xmax(capsys):
+    code = main(["polycheck", "n=2", "m=1", "--xmax", "-1", "--format", "text"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err == "error: the window x = 0..-1 is empty\n"
 
 
 def test_selftest_times_its_suites_with_a_monotonic_clock(capsys, monkeypatch):

@@ -20,7 +20,6 @@ from hexholes.regions import (
     upper_half,
 )
 from hexholes.tiler import (
-    EnumerationCapExceeded,
     _profile_dp,
     axis_cut_positions,
     count_free,
@@ -58,12 +57,15 @@ def test_enumeration_is_deterministic():
     assert list(enumerate_tilings(region)) == list(enumerate_tilings(region))
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     region = build_hexagon(3, 1)
-    with pytest.raises(EnumerationCapExceeded):
-        list(enumerate_tilings(region, enum_cap=10))
-    with pytest.raises(EnumerationCapExceeded):
-        list(enumerate_tilings(region, triangle_cap=5))
+    monkeypatch.setattr(tiler, "ENUM_LIMIT", 10)
+    with pytest.raises(CapExceeded, match="more than 10 tilings"):
+        list(enumerate_tilings(region))
+    monkeypatch.undo()
+    monkeypatch.setattr(tiler, "TRIANGLE_CAP", 5)
+    with pytest.raises(CapExceeded, match="cap is 5"):
+        list(enumerate_tilings(region))
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
