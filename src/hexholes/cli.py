@@ -134,8 +134,17 @@ def cmd_count(args) -> int:
 # verify / polycheck / selftest
 
 
+def _require_trials(trials: int) -> None:
+    """Refuse an empty random suite up front where other suites' records
+    would hide it."""
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+
+
 def cmd_verify(args) -> int:
     grid = parse_grid(" ".join(args.grid)) if args.grid else None
+    if args.target == "all":
+        _require_trials(args.trials)
     names = list(verify.SUITES) if args.target == "all" else [args.target]
     checked = failures = 0
     for name in names:
@@ -169,6 +178,7 @@ def cmd_polycheck(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    _require_trials(args.trials)
     failures = 0
     for name in verify.SUITES:
         started = time.perf_counter()
@@ -195,6 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+
+    def seeded(p):
+        common(p)
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--trials", type=int, default=200)
 
@@ -212,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one identity suite over a grid")
     p.add_argument("target", choices=(*verify.SUITES, "all"))
     p.add_argument("--grid", nargs="+", default=None, help='e.g. n<=4 m<=2 l<=1 or "n in {2,4}"')
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("polycheck", help="finite differences of the rhombus-hole counts")
@@ -222,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_polycheck)
 
     p = sub.add_parser("selftest", help="run every suite on its default grid")
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_selftest)
 
     return parser

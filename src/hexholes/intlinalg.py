@@ -10,9 +10,8 @@ as an oracle on small inputs, and an exact-rational elimination that
 scales; the test suite checks the two against each other and against
 det = Pf^2.
 
-Matrices carry explicit row/column labels (integers, or tag strings such as
-"2-" / "2+") so callers can address entries by the same index sets that
-define them.
+Matrices carry explicit row/column labels (any hashable values) so callers
+can address entries by the same index sets that define them.
 """
 
 from __future__ import annotations
@@ -32,15 +31,6 @@ KASTELEYN_PRIMES = tuple(
     2**e - 1
     for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213)
 )
-
-
-def minus_label(t: int) -> str:
-    """Tag for the t-th 'minus' hole index, e.g. minus_label(2) == '2-'."""
-    return f"{t}-"
-
-
-def plus_label(t: int) -> str:
-    return f"{t}+"
 
 
 def binomial(n: int, k: int) -> int:
@@ -289,7 +279,8 @@ def pfaffian_elimination(a: LabeledMatrix) -> int:
 
 
 def det_cofactor(rows: Sequence[Sequence[int]]) -> int:
-    """Cofactor-expansion determinant; division-free oracle for tiny orders."""
+    """Cofactor-expansion determinant; the tests' division-free oracle for
+    `determinant` on tiny orders."""
     n = len(rows)
     if n == 0:
         return 1
@@ -305,40 +296,34 @@ def det_cofactor(rows: Sequence[Sequence[int]]) -> int:
     return total
 
 
-def _det_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free elimination; first nonzero pivot in row order."""
-    n = len(rows)
+def determinant(a: LabeledMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination; first
+    nonzero pivot in row order."""
+    if a.nrows != a.ncols:
+        raise ValueError("determinant needs a square matrix")
+    n = a.nrows
     if n == 0:
         return 1
-    a = [row[:] for row in rows]
+    rows = [row[:] for row in a.rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+        if rows[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
             if swap is None:
                 return 0
-            a[k], a[swap] = a[swap], a[k]
+            rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
                 q, rem = divmod(num, prev)
                 if rem:
                     raise ArithmeticError("Bareiss division was not exact")
-                a[i][j] = q
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def determinant(a: LabeledMatrix) -> int:
-    """Exact determinant (cofactor expansion for tiny orders, else Bareiss)."""
-    if a.nrows != a.ncols:
-        raise ValueError("determinant needs a square matrix")
-    if a.nrows <= 4:
-        return det_cofactor(a.rows)
-    return _det_bareiss(a.rows)
+                rows[i][j] = q
+            rows[i][k] = 0
+        prev = rows[k][k]
+    return sign * rows[n - 1][n - 1]
 
 
 def modulus_above(bound: int) -> int | None:

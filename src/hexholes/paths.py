@@ -25,23 +25,17 @@ from typing import Iterator, Sequence
 from .intlinalg import (
     LabeledMatrix,
     binomial,
-    minus_label,
     pfaffian_elimination,
-    plus_label,
     signed_range_sum,
     determinant,
 )
+from .reduction import endpoint_labels, hole_sign, parse_hole_label, reduced_labels
 from .regions import CapExceeded, RegionSpec
 
 Point = tuple[int, int]
 
 # most candidate path families a brute-force family oracle may combine
 FAMILY_CAP = 2_000_000
-
-
-def hole_sign(l: int) -> int:
-    """The overall sign (-1)^C(l,2) carried by the Pfaffian count."""
-    return -1 if (l * (l - 1) // 2) % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -141,23 +135,14 @@ def lgv_matrix(starts: Sequence[Point], ends: Sequence[Point]) -> LabeledMatrix:
 # the two closed-form matrices of a spec
 
 
-def endpoint_labels(spec: RegionSpec) -> list:
-    m, l = spec.m, spec.l
-    return (
-        list(range(-m + 1, m + 1))
-        + [minus_label(t) for t in range(1, l + 1)]
-        + [plus_label(t) for t in range(1, l + 1)]
-    )
-
-
 def start_point(spec: RegionSpec, label) -> Point:
     """Start point of the path attached to a row label: (s, 1-s) for the
     integer labels, (k_t, k_t+1) / (k_t+1, k_t) for the hole labels."""
     if isinstance(label, int):
         return (label, 1 - label)
-    t = int(label[:-1])
+    t, minus = parse_hole_label(label)
     k = spec.holes[t - 1]
-    if label.endswith("-"):
+    if minus:
         return (k, k + 1)
     return (k + 1, k)
 
@@ -179,7 +164,7 @@ def endline_skew_matrix(spec: RegionSpec) -> LabeledMatrix:
     if spec.central_x:
         raise ValueError("endline_skew_matrix needs a rhombus-free spec")
     n, m, ks = spec.n, spec.m, spec.holes
-    labels = endpoint_labels(spec)
+    labels = endpoint_labels(m, spec.l)
 
     def upper(i, j) -> int:
         i_int = isinstance(i, int)
@@ -187,9 +172,9 @@ def endline_skew_matrix(spec: RegionSpec) -> LabeledMatrix:
         if i_int and j_int:
             return signed_range_sum(lambda r: binomial(2 * n, n + r), i - j + 1, j - i)
         if i_int:
-            t = int(j[:-1])
+            t, minus = parse_hole_label(j)
             k = ks[t - 1]
-            if j.endswith("-"):
+            if minus:
                 return signed_range_sum(
                     lambda r: binomial(2 * n - 2 * k, n - k + r), i + 1, -i
                 )
@@ -197,10 +182,10 @@ def endline_skew_matrix(spec: RegionSpec) -> LabeledMatrix:
                 lambda r: binomial(2 * n - 2 * k, n - k + r), i, -i + 1
             )
         # both hole labels
-        t = int(i[:-1])
-        s = int(j[:-1])
+        t, i_minus = parse_hole_label(i)
+        s, j_minus = parse_hole_label(j)
         kt, kst = ks[t - 1], ks[s - 1]
-        if i.endswith("-") and j.endswith("+"):
+        if i_minus and not j_minus:
             base = 2 * n - 2 * kt - 2 * kst
             top = n - kt - kst
             return binomial(base, top) + binomial(base, top + 1)
@@ -245,7 +230,7 @@ def diagonal_lgv_matrix(spec: RegionSpec) -> LabeledMatrix:
     if spec.central_x:
         raise ValueError("diagonal_lgv_matrix needs a rhombus-free spec")
     n, m, ks = spec.n, spec.m, spec.holes
-    labels = list(range(1, m + 1)) + [plus_label(t) for t in range(1, spec.l + 1)]
+    labels = reduced_labels(m, spec.l)[1]
 
     def entry(i, j) -> int:
         i_int = isinstance(i, int)
@@ -254,11 +239,11 @@ def diagonal_lgv_matrix(spec: RegionSpec) -> LabeledMatrix:
             return binomial(2 * n, n + j - i) + binomial(2 * n, n - i - j + 1)
         if i_int or j_int:
             pos = i if i_int else j
-            k = ks[int((j if i_int else i)[:-1]) - 1]
+            k = ks[parse_hole_label(j if i_int else i)[0] - 1]
             base = 2 * n - 2 * k
             return binomial(base, n - k - pos + 1) + binomial(base, n - k - pos)
-        kt = ks[int(i[:-1]) - 1]
-        kst = ks[int(j[:-1]) - 1]
+        kt = ks[parse_hole_label(i)[0] - 1]
+        kst = ks[parse_hole_label(j)[0] - 1]
         base = 2 * n - 2 * kt - 2 * kst
         top = n - kt - kst
         return binomial(base, top) + binomial(base, top - 1)

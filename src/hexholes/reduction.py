@@ -9,11 +9,13 @@ square.  For any such matrix, folding the non-positive rows and columns
 after which the Pfaffian collapses to the determinant of an (m+l) x (m+l)
 block times the sign (-1)^C(l,2).
 
-This module makes each step executable and checkable: hypothesis
-verification, the fold, the reduced block (built two independent ways and
-compared, which is what catches sign/permutation slips), the
-Pfaffian/determinant certificate, and the first-difference transform that
-carries the reduced block onto the diagonal-confined LGV matrix.
+This module owns that shape: the endpoint and reduced-block labels, the
+sign, and each step made executable and checkable: hypothesis
+verification, the fold and its proven blocks, the reduced block (built two
+independent ways and compared, which is what catches sign/permutation
+slips), the one-pass Pfaffian/determinant certificate, and the
+first-difference transform that carries the reduced block onto the
+diagonal-confined LGV matrix.
 """
 
 from __future__ import annotations
@@ -21,19 +23,31 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .intlinalg import (
-    LabeledMatrix,
-    determinant,
-    minus_label,
-    pfaffian_elimination,
-    plus_label,
-)
+from .intlinalg import LabeledMatrix, determinant, pfaffian_elimination
 
 
 class StructureError(ValueError):
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = violations
+
+
+# ---------------------------------------------------------------------------
+# the label scheme
+
+
+def minus_label(t: int) -> str:
+    """Tag for the t-th 'minus' hole index, e.g. minus_label(2) == '2-'."""
+    return f"{t}-"
+
+
+def plus_label(t: int) -> str:
+    return f"{t}+"
+
+
+def parse_hole_label(label: str) -> tuple[int, bool]:
+    """(t, True) for minus_label(t) and (t, False) for plus_label(t)."""
+    return int(label[:-1]), label.endswith("-")
 
 
 def int_labels(m: int) -> list[int]:
@@ -44,6 +58,25 @@ def hole_labels(l: int) -> list[str]:
     return [minus_label(t) for t in range(1, l + 1)] + [
         plus_label(t) for t in range(1, l + 1)
     ]
+
+
+def endpoint_labels(m: int, l: int) -> list:
+    """Row and column labels of a structured skew matrix, in order:
+    -m+1..m, then 1-..l-, then 1+..l+."""
+    return int_labels(m) + hole_labels(l)
+
+
+def reduced_labels(m: int, l: int) -> tuple[list, list]:
+    """Row and column labels of the reduced block: 1..m then the minus
+    labels down the rows, 1..m then the plus labels across the columns."""
+    rows = list(range(1, m + 1)) + [minus_label(t) for t in range(1, l + 1)]
+    cols = list(range(1, m + 1)) + [plus_label(t) for t in range(1, l + 1)]
+    return rows, cols
+
+
+def hole_sign(l: int) -> int:
+    """The sign (-1)^C(l,2) relating the Pfaffian to the reduced determinant."""
+    return -1 if (l * (l - 1) // 2) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -69,7 +102,7 @@ class StructuredSkew:
         return -self.band[-r - 1]
 
     def to_matrix(self) -> LabeledMatrix:
-        labels = int_labels(self.m) + hole_labels(self.l)
+        labels = endpoint_labels(self.m, self.l)
 
         def entry(a, b) -> int:
             a_int = isinstance(a, int)
@@ -90,7 +123,7 @@ def _split_labels(a: LabeledMatrix) -> tuple[int, int]:
     holes = [lab for lab in a.row_labels if not isinstance(lab, int)]
     m = len(ints) // 2
     l = len(holes) // 2
-    if m < 1 or list(a.row_labels) != int_labels(m) + hole_labels(l):
+    if m < 1 or list(a.row_labels) != endpoint_labels(m, l):
         raise StructureError(["labels are not -m+1..m, 1-..l-, 1+..l+ in order"])
     if a.row_labels != a.col_labels:
         raise StructureError(["row and column labels differ"])
@@ -175,16 +208,27 @@ def fold_transform(a: LabeledMatrix) -> LabeledMatrix:
     return LabeledMatrix(labels, labels, full)
 
 
-def _reduced_labels(m: int, l: int) -> tuple[list, list]:
-    rows = list(range(1, m + 1)) + [minus_label(t) for t in range(1, l + 1)]
-    cols = list(range(1, m + 1)) + [plus_label(t) for t in range(1, l + 1)]
-    return rows, cols
+def _first_bad_fold_entry(folded: LabeledMatrix, original: LabeledMatrix, m: int, l: int) -> tuple | None:
+    """The (row, column) labels of the first entry, in checking order, where
+    the folded matrix breaks its proven blocks: zero on (nonpositive,
+    nonpositive) and (nonpositive, minus), the original on (nonpositive,
+    plus).  None when it keeps them all."""
+    for i in range(-m + 1, 1):
+        for j in range(-m + 1, 1):
+            if folded.get(i, j) != 0:
+                return (i, j)
+        for t in range(1, l + 1):
+            if folded.get(i, minus_label(t)) != 0:
+                return (i, minus_label(t))
+            if folded.get(i, plus_label(t)) != original.get(i, plus_label(t)):
+                return (i, plus_label(t))
+    return None
 
 
 def reduced_matrix_direct(ss: StructuredSkew) -> LabeledMatrix:
     """The half-size block straight from the structured data: band sums in
     the top-left, folded bridge columns, negated bridge rows, hole block."""
-    rows, cols = _reduced_labels(ss.m, ss.l)
+    rows, cols = reduced_labels(ss.m, ss.l)
 
     def entry(r, c) -> int:
         r_int = isinstance(r, int)
@@ -204,7 +248,7 @@ def reduced_matrix_from_fold(folded: LabeledMatrix, m: int, l: int) -> LabeledMa
     """The same block read out of the folded matrix: the non-positive rows
     reversed into 1..m (plus the minus rows), against columns 1..m and the
     plus columns."""
-    rows, cols = _reduced_labels(m, l)
+    rows, cols = reduced_labels(m, l)
 
     def source_row(r):
         return 1 - r if isinstance(r, int) else r
@@ -213,33 +257,38 @@ def reduced_matrix_from_fold(folded: LabeledMatrix, m: int, l: int) -> LabeledMa
     return LabeledMatrix(rows, cols, entries)
 
 
-def extract_reduced(a: LabeledMatrix) -> LabeledMatrix:
-    """Build the reduced block both ways and insist they agree; a mismatch
-    means the fold or the rearrangement bookkeeping is broken."""
-    ss = check_hypotheses(a)
-    direct = reduced_matrix_direct(ss)
-    via_fold = reduced_matrix_from_fold(fold_transform(a), ss.m, ss.l)
-    if direct.rows != via_fold.rows:
-        raise AssertionError("direct and folded reduced blocks disagree")
-    return direct
-
-
 @dataclass(frozen=True)
 class ReductionCertificate:
+    """One pass of the reduction over a matrix: the Pfaffian against the
+    signed determinant of the reduced block, the block itself (as both
+    routes built it) and the first entry where the folded matrix breaks
+    its proven blocks (None when it keeps them all)."""
+
     passed: bool
     pfaffian: int
     reduced_det: int
     sign: int
     m: int
     l: int
+    reduced: LabeledMatrix
+    first_bad_fold_entry: tuple | None
 
 
 def verify_pfaffian_reduction(a: LabeledMatrix) -> ReductionCertificate:
-    """Exact check that Pf(A) = (-1)^C(l,2) det(reduced block)."""
+    """Exact check that Pf(A) = (-1)^C(l,2) det(reduced block).
+
+    The hypotheses are checked and A is folded once.  The reduced block is
+    built from the structured data and read out of the fold, and the two
+    must agree: a mismatch means the fold or the rearrangement bookkeeping
+    is broken."""
     ss = check_hypotheses(a)
+    folded = fold_transform(a)
+    reduced = reduced_matrix_direct(ss)
+    if reduced.rows != reduced_matrix_from_fold(folded, ss.m, ss.l).rows:
+        raise AssertionError("direct and folded reduced blocks disagree")
     pf = pfaffian_elimination(a)
-    det = determinant(extract_reduced(a))
-    sign = -1 if (ss.l * (ss.l - 1) // 2) % 2 else 1
+    det = determinant(reduced)
+    sign = hole_sign(ss.l)
     return ReductionCertificate(
         passed=(pf == sign * det),
         pfaffian=pf,
@@ -247,6 +296,8 @@ def verify_pfaffian_reduction(a: LabeledMatrix) -> ReductionCertificate:
         sign=sign,
         m=ss.m,
         l=ss.l,
+        reduced=reduced,
+        first_bad_fold_entry=_first_bad_fold_entry(folded, a, ss.m, ss.l),
     )
 
 

@@ -252,7 +252,7 @@ def check_skew_matrix(specs: Sequence[RegionSpec]) -> list[dict]:
             continue
         s = spec.text()
         closed = paths.endline_skew_matrix(spec)
-        starts = [paths.start_point(spec, lab) for lab in paths.endpoint_labels(spec)]
+        starts = [paths.start_point(spec, lab) for lab in closed.row_labels]
         generic = paths.free_endpoint_pfaffian_matrix(starts, paths.cut_line_points(spec))
         out.append(_entries_record(s, "skew-matrix-entries", closed, generic, "closed form", "endpoint double sums"))
         if spec.n <= 3 and spec.m + spec.l <= 3:
@@ -261,7 +261,7 @@ def check_skew_matrix(specs: Sequence[RegionSpec]) -> list[dict]:
             out.append(
                 record(s, "skew-matrix-signed-count", fam.signed_total, pf, "brute families", "pfaffian")
             )
-            sign = paths.hole_sign(spec.l)
+            sign = reduction.hole_sign(spec.l)
             out.append(
                 record(
                     s,
@@ -308,14 +308,14 @@ def check_lgv_matrix(specs: Sequence[RegionSpec]) -> list[dict]:
 
 def check_reduction(trials: int = 200, seed: int = 7, m_max: int = 4, l_max: int = 2) -> list[dict]:
     """Seeded random structured-skew suite: the certificate must pass and the
-    folded matrix must show the proven zero blocks exactly."""
+    folded matrix must show the proven zero blocks exactly (both read off
+    one reduction pass per trial)."""
     rng = random.Random(seed)
     out = []
     for trial in range(trials):
         m = rng.randint(1, m_max)
         l = rng.randint(0, l_max)
-        ss = reduction.random_structured(rng, m, l)
-        a = ss.to_matrix()
+        a = reduction.random_structured(rng, m, l).to_matrix()
         cert = reduction.verify_pfaffian_reduction(a)
         name = f"random m={m} l={l} trial={trial}"
         out.append(
@@ -328,30 +328,10 @@ def check_reduction(trials: int = 200, seed: int = 7, m_max: int = 4, l_max: int
                 "sign*det(reduced)",
             )
         )
-        folded = reduction.fold_transform(a)
-        bad = _first_bad_fold_entry(folded, a, m, l)
+        bad = cert.first_bad_fold_entry
         where = "" if bad is None else f", first bad entry {bad!r}"
         out.append(record(name, "fold-zero-blocks", int(bad is None), 1, f"folded matrix{where}", "expected"))
     return out
-
-
-def _first_bad_fold_entry(folded: LabeledMatrix, original: LabeledMatrix, m: int, l: int) -> tuple | None:
-    """The (row, column) labels of the first entry, in checking order, where
-    the folded matrix breaks its proven blocks: zero on (nonpositive,
-    nonpositive) and (nonpositive, minus), the original on (nonpositive,
-    plus).  None when it keeps them all."""
-    from .intlinalg import minus_label, plus_label
-
-    for i in range(-m + 1, 1):
-        for j in range(-m + 1, 1):
-            if folded.get(i, j) != 0:
-                return (i, j)
-        for t in range(1, l + 1):
-            if folded.get(i, minus_label(t)) != 0:
-                return (i, minus_label(t))
-            if folded.get(i, plus_label(t)) != original.get(i, plus_label(t)):
-                return (i, plus_label(t))
-    return None
 
 
 def check_reduction_chain(specs: Sequence[RegionSpec]) -> list[dict]:
@@ -364,8 +344,7 @@ def check_reduction_chain(specs: Sequence[RegionSpec]) -> list[dict]:
         if spec.central_x:
             continue
         s = spec.text()
-        a = paths.endline_skew_matrix(spec)
-        cert = reduction.verify_pfaffian_reduction(a)
+        cert = reduction.verify_pfaffian_reduction(paths.endline_skew_matrix(spec))
         out.append(
             record(
                 s,
@@ -376,7 +355,7 @@ def check_reduction_chain(specs: Sequence[RegionSpec]) -> list[dict]:
                 "sign*det(reduced)",
             )
         )
-        transformed = reduction.difference_transform(reduction.extract_reduced(a))
+        transformed = reduction.difference_transform(cert.reduced)
         target = paths.diagonal_lgv_matrix(spec)
         out.append(
             _entries_record(

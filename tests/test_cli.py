@@ -213,6 +213,38 @@ def test_verify_that_checks_nothing_exits_2(capsys, argv):
     assert json.loads(captured.out) == {"error": captured.err[len("error: ") : -1], "pass": False}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "n=2", "m=1", "--trials", "5"],
+        ["count", "n=2", "m=1", "--seed", "9"],
+        ["polycheck", "n=2", "m=1", "--trials", "5"],
+        ["polycheck", "n=2", "m=1", "--seed", "9"],
+    ],
+)
+def test_count_and_polycheck_take_no_seed_or_trials(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--trials", "-3"],
+        ["selftest", "--trials", "0"],
+        ["verify", "all", "--trials", "-3"],
+    ],
+)
+def test_trials_below_one_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: --trials must be at least 1, got {argv[-1]}\n"
+    assert json.loads(captured.out) == {"error": captured.err[len("error: ") : -1], "pass": False}
+
+
 def test_polycheck_rejects_negative_xmax(capsys):
     code = main(["polycheck", "n=2", "m=1", "--xmax", "-1", "--format", "text"])
     captured = capsys.readouterr()

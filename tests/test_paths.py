@@ -13,15 +13,14 @@ from hexholes.paths import (
     diagonal_lgv_matrix,
     diagonal_start_points,
     endline_skew_matrix,
-    endpoint_labels,
     free_endpoint_pfaffian_matrix,
     free_path_count,
-    hole_sign,
     lgv_matrix,
     reflectable_gf,
     reflectable_gf_dp,
     start_point,
 )
+from hexholes.reduction import endpoint_labels, hole_sign
 from hexholes.regions import RegionSpec, build_region, left_half_free, lower_half_weighted
 from hexholes.tiler import axis_cut_positions, count_free, count_weighted2, split_by_axis
 from hexholes.verify import iter_specs
@@ -128,7 +127,7 @@ def test_running_sums_match_definition_on_random_points(starts, ipoints):
 def test_closed_skew_matrix_matches_double_sums():
     for spec in iter_specs(range(1, 5), (1, 2), (0, 1, 2)) + [RegionSpec(12, 3, (2, 5, 6))]:
         closed = endline_skew_matrix(spec)
-        starts = [start_point(spec, lab) for lab in endpoint_labels(spec)]
+        starts = [start_point(spec, lab) for lab in endpoint_labels(spec.m, spec.l)]
         generic = free_endpoint_pfaffian_matrix(starts, cut_line_points(spec))
         assert generic == double_sum_matrix(starts, cut_line_points(spec)), spec.text()
         assert closed.rows == generic.rows, spec.text()
@@ -136,7 +135,7 @@ def test_closed_skew_matrix_matches_double_sums():
 
 def test_widening_the_cut_line_changes_nothing():
     spec = RegionSpec(3, 2, (1,))
-    starts = [start_point(spec, lab) for lab in endpoint_labels(spec)]
+    starts = [start_point(spec, lab) for lab in endpoint_labels(spec.m, spec.l)]
     narrow = free_endpoint_pfaffian_matrix(starts, cut_line_points(spec))
     n, m = spec.n, spec.m
     wide = [(j, n + 1 - j) for j in range(-m - 4, n + m + 5)]
@@ -179,7 +178,7 @@ def test_crossing_forced_family_is_zero():
 
 def test_brute_force_families_match_formulas():
     for spec in [RegionSpec(2, 1, (1,)), RegionSpec(3, 1, (1,)), RegionSpec(2, 2)]:
-        starts = [start_point(spec, lab) for lab in endpoint_labels(spec)]
+        starts = [start_point(spec, lab) for lab in endpoint_labels(spec.m, spec.l)]
         fam = brute_force_endline_families(starts, cut_line_points(spec))
         assert fam.total == count_free_via_pfaffian(spec), spec.text()
         assert fam.signs <= {hole_sign(spec.l)}

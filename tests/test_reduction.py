@@ -13,7 +13,6 @@ from hexholes.reduction import (
     StructureError,
     check_hypotheses,
     difference_transform,
-    extract_reduced,
     fold_transform,
     random_structured,
     reduced_matrix_direct,
@@ -73,7 +72,7 @@ def test_fold_preserves_pfaffian_and_zeroes_blocks():
 
 
 def test_seed_reduced_block():
-    b = extract_reduced(endline_skew_matrix(SEED))
+    b = verify_pfaffian_reduction(endline_skew_matrix(SEED)).reduced
     assert b.rows == [[10, 3], [3, 1]]
     assert determinant(b) == 1
 
@@ -122,14 +121,13 @@ def test_reduction_on_spec_matrices():
 
 
 def test_difference_transform_identity_for_m1():
-    a = endline_skew_matrix(SEED)
-    b = extract_reduced(a)
+    b = verify_pfaffian_reduction(endline_skew_matrix(SEED)).reduced
     assert difference_transform(b).rows == b.rows
 
 
 def test_difference_transform_lands_on_lgv_matrix():
     for spec in grid_specs():
-        b = extract_reduced(endline_skew_matrix(spec))
+        b = verify_pfaffian_reduction(endline_skew_matrix(spec)).reduced
         transformed = difference_transform(b)
         target = diagonal_lgv_matrix(spec)
         assert transformed.rows == target.rows, spec.text()

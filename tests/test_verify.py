@@ -1,3 +1,5 @@
+import pytest
+
 from hexholes import paths, reduction, tiler, verify
 from hexholes.regions import RegionSpec, build_region
 
@@ -138,3 +140,45 @@ def test_failed_fold_record_names_the_first_bad_entry(monkeypatch):
             }
         else:
             assert after == before
+
+
+def _count_calls(monkeypatch, module, *names):
+    """Wrap each named function of module with a call counter."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_reduction_suites_reduce_each_matrix_once(monkeypatch):
+    calls = _count_calls(monkeypatch, reduction, "check_hypotheses", "fold_transform")
+    specs = [RegionSpec(6, 2, (1, 3)), RegionSpec(5, 3)]
+    records = verify.check_reduction_chain(specs)
+    assert len(records) == 4 and all(rec["pass"] for rec in records)
+    assert calls == {"check_hypotheses": 2, "fold_transform": 2}
+
+    calls.update(dict.fromkeys(calls, 0))
+    records = verify.check_reduction(trials=5, seed=1)
+    assert len(records) == 10 and all(rec["pass"] for rec in records)
+    assert calls == {"check_hypotheses": 5, "fold_transform": 5}
+
+
+def test_reduction_compares_the_two_reduced_blocks(monkeypatch):
+    # a fold that breaks a (nonpositive, plus) entry makes the block read
+    # out of it disagree with the block built from the structured data
+    real = reduction.fold_transform
+
+    def corrupted(a):
+        folded = real(a)
+        folded.rows[folded.row_labels.index(0)][folded.col_labels.index("1+")] += 1
+        return folded
+
+    monkeypatch.setattr(reduction, "fold_transform", corrupted)
+    with pytest.raises(AssertionError, match="direct and folded reduced blocks disagree"):
+        reduction.verify_pfaffian_reduction(paths.endline_skew_matrix(RegionSpec(2, 1, (1,))))
