@@ -4,9 +4,10 @@ polynomiality probe, and the full self-test.
 Region specs are given as key=value tokens (`n=15 m=5 k=2,5,7 x=0`); grids
 as comparisons (`--grid "n<=4 m<=2 l<=1"` or `"n in {2,4} x in {1,3}"`).
 Exact integers are serialized as decimal strings in JSON output.  Exit
-status is 0 when every checked identity holds, 1 when one fails, and 2 on
-bad input or an exceeded cap; under `--format json` that error is also
-printed to stdout as one record, `{"error": "...", "pass": false}`.
+status is 0 when every checked identity holds, 1 when one fails, 2 on
+bad input or an exceeded cap, and 141 when the reader of stdout closed it
+early; under `--format json` that error is also printed to stdout as one
+record, `{"error": "...", "pass": false}`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 import time
@@ -178,18 +180,26 @@ def cmd_polycheck(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    """One record per suite, printed once every suite has run; `--format
+    text` prints a table instead, a line as each suite ends, and a verdict."""
     _require_trials(args.trials)
-    failures = 0
+    summary = []
     for name in verify.SUITES:
         started = time.perf_counter()
         records = verify.run_suite(name, trials=args.trials, seed=args.seed)
+        seconds = time.perf_counter() - started
         bad = sum(1 for rec in records if not rec["pass"])
-        failures += bad
-        status = "PASS" if bad == 0 else f"FAIL({bad})"
-        print(
-            f"{name:24s} {status:9s} {len(records):4d} checks  {time.perf_counter() - started:6.2f}s"
+        summary.append(
+            {"suite": name, "checks": len(records), "failures": bad, "seconds": round(seconds, 3), "pass": bad == 0}
         )
-    print("selftest:", "PASS" if failures == 0 else f"FAIL ({failures} checks)")
+        if args.format == "text":
+            status = "PASS" if bad == 0 else f"FAIL({bad})"
+            print(f"{name:24s} {status:9s} {len(records):4d} checks  {seconds:6.2f}s")
+    failures = sum(rec["failures"] for rec in summary)
+    if args.format == "text":
+        print("selftest:", "PASS" if failures == 0 else f"FAIL ({failures} checks)")
+    else:
+        emit(summary, args.format)
     return 1 if failures else 0
 
 
@@ -244,7 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): end as quietly as SIGPIPE
+        # would, with nothing left to flush at exit, and with its status
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (ValueError, CapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         if args.format == "json":

@@ -5,10 +5,9 @@ rounded.  Determinants use fraction-free (Bareiss) elimination so that all
 intermediate values stay integral; large sparse matrices are eliminated
 modulo a prime instead (`det_mod_sparse`), which is exact once the caller
 picks a prime above twice a bound on the determinant (`modulus_above`).
-Pfaffians come in two flavours: a perfect-matching expansion that serves
-as an oracle on small inputs, and an exact-rational elimination that
-scales; the test suite checks the two against each other and against
-det = Pf^2.
+Pfaffians use an exact-rational elimination.  The slow routes the tests
+compare both against, the perfect-matching Pfaffian and the cofactor
+determinant, are in `tests/oracles.py`.
 
 Matrices carry explicit row/column labels (any hashable values) so callers
 can address entries by the same index sets that define them.
@@ -19,12 +18,10 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 Label = Hashable
 
-MATCHING_PFAFFIAN_MAX_ORDER = 10
 # the moduli of the sparse eliminations: 2^e - 1 for every Mersenne prime
 # exponent e from 61 to 11213, smallest first
 KASTELEYN_PRIMES = tuple(
@@ -62,46 +59,6 @@ def signed_range_sum(f: Callable[[int], int], lo: int, hi: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# perfect matchings
-
-
-def perfect_matchings(count: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect matchings of {0, .., count-1}, each as ordered pairs.
-
-    The first free index is always matched first, so the iteration order is
-    deterministic.
-    """
-    if count % 2:
-        raise ValueError(f"no perfect matchings on an odd set of {count} points")
-
-    def rec(remaining: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if not remaining:
-            yield ()
-            return
-        a = remaining[0]
-        for idx in range(1, len(remaining)):
-            b = remaining[idx]
-            rest = remaining[1:idx] + remaining[idx + 1 :]
-            for tail in rec(rest):
-                yield ((a, b),) + tail
-
-    yield from rec(tuple(range(count)))
-
-
-def matching_crossings(pairs: Sequence[tuple[int, int]]) -> int:
-    """Number of crossing pair quadruples i < j < k < l with i--k, j--l."""
-    cr = 0
-    for (a, b), (c, d) in combinations(pairs, 2):
-        if a < c < b < d or c < a < d < b:
-            cr += 1
-    return cr
-
-
-def matching_sign(pairs: Sequence[tuple[int, int]]) -> int:
-    return -1 if matching_crossings(pairs) % 2 else 1
-
-
-# ---------------------------------------------------------------------------
 # labeled matrices
 
 
@@ -132,12 +89,6 @@ class LabeledMatrix:
         self._ci = {lab: j for j, lab in enumerate(self.col_labels)}
         if len(self._ri) != len(self.row_labels) or len(self._ci) != len(self.col_labels):
             raise ValueError("labels must be unique")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "LabeledMatrix":
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        return cls(range(n), range(m), rows)
 
     @classmethod
     def build(
@@ -213,36 +164,11 @@ def _require_even_skew(a: LabeledMatrix, what: str) -> None:
 # Pfaffians
 
 
-def pfaffian_by_matchings(a: LabeledMatrix) -> int:
-    """Pfaffian as the signed sum over perfect matchings.
-
-    Exponential in the order, so it is capped at order 10; use
-    pfaffian_elimination beyond that.  This is the oracle the elimination
-    routine is tested against.
-    """
-    _require_even_skew(a, "pfaffian_by_matchings")
-    n = a.order
-    if n > MATCHING_PFAFFIAN_MAX_ORDER:
-        raise ValueError(
-            f"matching expansion capped at order {MATCHING_PFAFFIAN_MAX_ORDER}, got {n}"
-        )
-    total = 0
-    for pairs in perfect_matchings(n):
-        term = matching_sign(pairs)
-        for i, j in pairs:
-            term *= a.rows[i][j]
-            if term == 0:
-                break
-        total += term
-    return total
-
-
 def pfaffian_elimination(a: LabeledMatrix) -> int:
     """Pfaffian by exact-rational skew elimination.
 
     Works over Fractions and asserts integrality of the result, which is
-    guaranteed for integer input.  Agrees with pfaffian_by_matchings
-    wherever both run.
+    guaranteed for integer input.
     """
     _require_even_skew(a, "pfaffian_elimination")
     n = a.order
@@ -276,24 +202,6 @@ def pfaffian_elimination(a: LabeledMatrix) -> int:
 
 # ---------------------------------------------------------------------------
 # determinants
-
-
-def det_cofactor(rows: Sequence[Sequence[int]]) -> int:
-    """Cofactor-expansion determinant; the tests' division-free oracle for
-    `determinant` on tiny orders."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    sign = 1
-    for j in range(n):
-        if rows[0][j]:
-            minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-            total += sign * rows[0][j] * det_cofactor(minor)
-        sign = -sign
-    return total
 
 
 def determinant(a: LabeledMatrix) -> int:

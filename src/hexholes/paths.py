@@ -8,7 +8,8 @@ diagonal-confined families with a weight 2 per diagonal touch, which the
 Lindstrom-Gessel-Viennot (LGV) lemma turns into a determinant.  This module
 builds both matrices in closed form, builds the generic double-sum and LGV
 matrices they specialize, and brute-forces small path families as an
-independent oracle.
+independent oracle.  The weighted lattice DP that checks the closed form
+`reflectable_gf` is in `tests/oracles.py`.
 
 Conventions: points are (x, y) on the integer lattice, steps go right or
 up.  A start on the cut line x + y = n + 1 admits only the empty path,
@@ -65,27 +66,6 @@ def reflectable_gf(a: int, b: int, c: int, d: int) -> int:
     if total < 0:
         return 0
     return binomial(total, c - a) + binomial(total, d - a)
-
-
-def reflectable_gf_dp(a: int, b: int, c: int, d: int) -> int:
-    """Oracle for reflectable_gf: direct weighted DP over the sub-diagonal
-    lattice, factor 2 at every vertex with x == y."""
-    if a <= b or c <= d:
-        raise ValueError("reflectable_gf_dp needs strictly sub-diagonal endpoints")
-    if c < a or d < b:
-        return 0
-    table: dict[Point, int] = {(a, b): 1}
-    for x in range(a, c + 1):
-        for y in range(b, d + 1):
-            if y > x:
-                continue
-            if (x, y) == (a, b):
-                continue
-            arrived = table.get((x - 1, y), 0) if x - 1 >= a else 0
-            arrived += table.get((x, y - 1), 0) if y - 1 >= b else 0
-            if arrived:
-                table[(x, y)] = arrived * (2 if x == y else 1)
-    return table.get((c, d), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,9 @@ same for every term (the ups outnumber the downs by |S|).  So Pf A =
 +-sum over S of det K_{-S}, K without the rows of S.  Each K_{-S} is still
 Kasteleyn-signed, as the removed vertices lie on the outer face, and det
 K_{-S} has the same sign for every S.  That last step is checked, not
-proved: it holds on every region the tests compare with the profile DP,
-and fails where a free up lacks a row neighbour (a hole opening onto the
+proved: it holds on every region the tests compare with the profile DP
+of `tests/oracles.py`, and fails where a free up lacks a row neighbour (a hole opening onto the
 cut through a down triangle), a layout `_free_ups` refuses.
-
-The broken-profile dynamic program (`_profile_dp`) is the tests' oracle
-for all three Kasteleyn engines: it honors free edges and special
-positions directly, cell by cell, at a cost exponential in the row width.
 
 The symmetry classes have no engine of their own: `count_hsym` is the plain
 count of the upper half and `count_vsym` the free count of the left half.
@@ -79,8 +75,6 @@ Tiling = frozenset
 # refuses anything past either
 ENUM_LIMIT = 50_000
 TRIANGLE_CAP = 200
-# widest frame row the profile DP sweeps: its states can double per cell
-DP_WIDTH_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -186,70 +180,6 @@ def symmetric_via_enumeration(region: Region) -> tuple[int, int]:
             if all(tuple(sorted(image[t] for t in tile)) in tiling for tile in tiling):
                 fixed[j] += 1
     return fixed[0], fixed[1]
-
-
-# ---------------------------------------------------------------------------
-# broken-profile dynamic program: the tests' oracle
-
-
-def _profile_dp(region: Region, use_free: bool, weighted: bool) -> int:
-    """Broken-profile sweep over the cells in row-major order.
-
-    A state packs the current row's covered positions into its low `width`
-    bits and the next row's positions already covered by vertical lozenges
-    into the bits above; it maps to the weighted number of partial tilings.
-    Each cell's bit is cleared once the cell is placed, so equal partial
-    states merge after every cell and the cost is set by the merged states
-    per cell, not by the completions of a row.  Each cell's facts are
-    looked up once, outside the loop over states, which does only int
-    operations.
-    """
-    if region.row_len(region.side - 1) > DP_WIDTH_CAP:  # the widest row
-        raise CapExceeded(f"the profile DP sweeps rows of at most {DP_WIDTH_CAP} cells")
-    cells = region.triangles
-    states: dict[int, int] = {0: 1}
-    for i in range(region.num_rows):
-        width = region.row_len(i)
-        for p in range(width):
-            t = (i, p)
-            if t not in cells:
-                continue  # no lozenge ever sets a missing cell's bit
-            bit = 1 << p
-            factor = 2 if weighted and t in region.special else 1
-            # a special slot is vacated whichever member the pair covers
-            pair_bit = pair_factor = 0
-            if p + 1 < width and (i, p + 1) in cells:
-                pair_bit = bit << 1
-                pair_factor = factor * (2 if weighted and (i, p + 1) in region.special else 1)
-            down_bit = 0
-            half = False
-            if region.is_up(t):
-                v = region.vertical_partner(t)
-                if v is not None and v in cells:
-                    down_bit = 1 << (width + v[1])
-                half = use_free and t in region.free
-            nxt: dict[int, int] = {}
-            get = nxt.get
-            for s, w in states.items():
-                if s & bit:
-                    s ^= bit
-                    nxt[s] = get(s, 0) + w
-                    continue
-                if pair_bit and not s & pair_bit:
-                    u = s | pair_bit
-                    nxt[u] = get(u, 0) + w * pair_factor
-                if down_bit:
-                    # the axis lozenge itself carries no factor
-                    u = s | down_bit
-                    nxt[u] = get(u, 0) + w
-                if half:
-                    nxt[s] = get(s, 0) + w * factor
-            if not nxt:
-                return 0
-            states = nxt
-        # every bit of row i is cleared; the next row's bits move down
-        states = {s >> width: w for s, w in states.items()}
-    return states.get(0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -500,12 +500,9 @@ AXIS_SPLIT_BOUNDS = dict(n_values=(2,), m_values=(1,), l_values=(0,), x_values=(
 
 
 def _specs(grid: dict, **fallback) -> list[RegionSpec]:
-    """Specs over the default bounds overridden by grid; a suite's fallback
-    bounds override them as well when grid names no x values."""
-    bounds = {**DEFAULT_GRID, **grid}
-    if "x_values" not in grid:
-        bounds.update(fallback)
-    return iter_specs(**bounds)
+    """Specs over the bounds grid names, then the suite's fallback bounds,
+    then DEFAULT_GRID."""
+    return iter_specs(**{**DEFAULT_GRID, **fallback, **grid})
 
 
 # Suite name -> runner(grid, trials, seed), in `verify all` order.  The

@@ -8,19 +8,11 @@ suites back `hexholes verify` / `hexholes selftest`.
 import random
 
 from hexholes import verify
-from hexholes.intlinalg import (
-    LabeledMatrix,
-    determinant,
-    pfaffian_by_matchings,
-    pfaffian_elimination,
-)
-from hexholes.paths import (
-    count_free_via_pfaffian,
-    count_weighted2_via_det,
-    reflectable_gf,
-    reflectable_gf_dp,
-)
+from hexholes.intlinalg import determinant, pfaffian_elimination
+from hexholes.paths import count_free_via_pfaffian, count_weighted2_via_det, reflectable_gf
 from hexholes.regions import RegionSpec
+
+from oracles import from_rows, pfaffian_by_matchings, reflectable_gf_dp
 
 GRID = verify.iter_specs(range(2, 7), (1, 2), (0, 1, 2))
 RHOMBUS_GRID = verify.iter_specs((2, 4), (1, 2), (0, 1), x_values=(1, 2, 3))
@@ -80,7 +72,7 @@ def test_06_reflection_gf_and_pfaffian_square():
                     v = rng.randint(-9, 9)
                     rows[i][j] = v
                     rows[j][i] = -v
-            a = LabeledMatrix.from_rows(rows)
+            a = from_rows(rows)
             assert pfaffian_elimination(a) ** 2 == determinant(a)
             checks += 1
     print(f"criterion 6 (reflection gf = dp; Pf^2 = det): PASS [{checks} checks]")
@@ -111,7 +103,7 @@ def test_09_oracle_coherence():
                     v = rng.randint(-9, 9)
                     rows[i][j] = v
                     rows[j][i] = -v
-            a = LabeledMatrix.from_rows(rows)
+            a = from_rows(rows)
             assert pfaffian_by_matchings(a) == pfaffian_elimination(a)
             matched += 1
     _report(9, f"profile DP = enumeration; matching Pf = elimination Pf ({matched} matrices)", records)

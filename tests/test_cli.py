@@ -1,8 +1,14 @@
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import hexholes
 from hexholes import tiler, verify
 from hexholes.cli import main, parse_grid
 from hexholes.tiler import count_plain
@@ -256,7 +262,40 @@ def test_selftest_times_its_suites_with_a_monotonic_clock(capsys, monkeypatch):
     # the wall clock can jump; a suite's time must not come from it
     monkeypatch.setattr(verify, "SUITES", {"box-product": verify.SUITES["box-product"]})
     monkeypatch.setattr(time, "time", lambda: pytest.fail("selftest read the wall clock"))
-    code, out = run(capsys, "selftest")
+    code, out = run(capsys, "selftest", "--format", "text")
     assert code == 0
     assert out.splitlines()[0].split()[:2] == ["box-product", "PASS"]
     assert out.splitlines()[-1] == "selftest: PASS"
+
+
+def test_selftest_prints_one_record_per_suite(capsys, monkeypatch):
+    suites = ("box-product", "contiguity")
+    monkeypatch.setattr(verify, "SUITES", {name: verify.SUITES[name] for name in suites})
+    code, out = run(capsys, "selftest")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert [rec["suite"] for rec in records] == list(suites)
+    for rec in records:
+        assert set(rec) == {"suite", "checks", "failures", "seconds", "pass"}
+        assert rec["checks"] > 0 and rec["failures"] == 0 and rec["pass"] is True
+    code, out = run(capsys, "selftest", "--format", "csv")
+    assert code == 0
+    assert [row["suite"] for row in csv.DictReader(io.StringIO(out))] == list(suites)
+    # a failing suite still exits 1
+    monkeypatch.setattr(verify, "SUITES", {"bad": lambda grid, trials, seed: [{"pass": False}]})
+    code, out = run(capsys, "selftest")
+    rec = json.loads(out)
+    assert code == 1
+    assert (rec["suite"], rec["checks"], rec["failures"], rec["pass"]) == ("bad", 1, 1, False)
+
+
+def test_a_closed_pipe_ends_quietly_with_status_141():
+    # enough records to fill the pipe, so the writer meets the closed end
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hexholes.__file__))}
+    argv = [sys.executable, "-m", "hexholes.cli", "verify", "reduction", "--trials", "1000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert json.loads(proc.stdout.readline())["pass"] is True
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

@@ -17,13 +17,14 @@ from hexholes.paths import (
     free_path_count,
     lgv_matrix,
     reflectable_gf,
-    reflectable_gf_dp,
     start_point,
 )
 from hexholes.reduction import endpoint_labels, hole_sign
 from hexholes.regions import RegionSpec, build_region, left_half_free, lower_half_weighted
 from hexholes.tiler import axis_cut_positions, count_free, count_weighted2, split_by_axis
 from hexholes.verify import iter_specs
+
+from oracles import pfaffian_by_matchings, reflectable_gf_dp
 
 SEED = RegionSpec(2, 1, (1,))
 
@@ -70,8 +71,6 @@ def test_hole_hole_zero_rules():
 
 
 def test_seed_pfaffian_count():
-    from hexholes.intlinalg import pfaffian_by_matchings
-
     assert pfaffian_by_matchings(endline_skew_matrix(SEED)) == 1
     assert count_free_via_pfaffian(SEED) == 1
     assert hole_sign(0) == hole_sign(1) == 1

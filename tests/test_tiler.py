@@ -20,7 +20,6 @@ from hexholes.regions import (
     upper_half,
 )
 from hexholes.tiler import (
-    _profile_dp,
     axis_cut_positions,
     count_free,
     count_hsym,
@@ -35,6 +34,8 @@ from hexholes.tiler import (
     weighted2_via_enumeration,
 )
 from hexholes.verify import iter_specs
+
+from oracles import _profile_dp
 
 
 def test_enumerate_smallest_hexagon():

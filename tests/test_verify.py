@@ -43,6 +43,13 @@ def test_run_suite_dispatch():
         raise AssertionError("unknown suite accepted")
 
 
+@pytest.mark.parametrize("suite, xs", [("axis-split", (1, 2)), ("rhombus-factorization", (1, 2, 3))])
+def test_a_grid_without_x_wins_over_a_suites_own_bounds(suite, xs):
+    # the suite's own bounds fill in only the x values the grid leaves out
+    records = verify.run_suite(suite, grid={"n_values": (4,), "m_values": (1,), "l_values": (0,)})
+    assert {rec["spec"] for rec in records} == {f"n=4 m=1 x={x}" for x in xs}
+
+
 def test_record_serializes_big_integers_as_strings():
     rec = verify.record("spec", "identity", 10**40, 10**40, "a", "b")
     assert rec["lhs"] == str(10**40) and rec["pass"]
