@@ -19,9 +19,10 @@ import os
 import re
 import sys
 import time
+from typing import Iterable
 
 from . import paths, tiler, verify
-from .regions import CapExceeded, RegionSpec, build_region, left_half_free, lower_half_weighted
+from .regions import CapExceeded, RegionSpec, build_region, left_half_free, lower_half_weighted, upper_half
 
 GRID_TOKEN = re.compile(r"(\w+)\s*(<=|=|in)\s*(\{[^{}]*\}|\S+)")
 
@@ -38,6 +39,8 @@ def parse_grid(text: str) -> dict:
         consumed += len(match.group(0).replace(" ", ""))
         if var not in _GRID_KEYS:
             raise ValueError(f"unknown grid variable {var!r}")
+        if _GRID_KEYS[var] in bounds:
+            raise ValueError(f"grid variable {var!r} given twice")
         if op == "<=":
             values = range(_GRID_MINIMUM[var], int(value) + 1)
         elif op == "=":
@@ -51,18 +54,18 @@ def parse_grid(text: str) -> dict:
     return bounds
 
 
-def emit(records: list[dict], fmt: str, out=None) -> None:
+def emit(records: Iterable[dict], fmt: str, out=None) -> None:
+    """Write the records as they come; CSV takes its one header from the first."""
     out = out or sys.stdout
     if fmt == "json":
         for rec in records:
             out.write(json.dumps(rec, sort_keys=True) + "\n")
     elif fmt == "csv":
-        if not records:
-            return
-        fields = list(records[0].keys())
-        writer = csv.DictWriter(out, fieldnames=fields)
-        writer.writeheader()
+        writer = None
         for rec in records:
+            if writer is None:
+                writer = csv.DictWriter(out, fieldnames=list(rec.keys()))
+                writer.writeheader()
             writer.writerow(rec)
     elif fmt == "text":
         for rec in records:
@@ -89,7 +92,7 @@ def cmd_count(args) -> int:
             crosscheck = "ok" if tiler.count_via_enumeration(region) == value else "MISMATCH"
     elif cls in ("hsym", "vsym"):
         hsym = cls == "hsym"
-        value = tiler.count_hsym(region) if hsym else tiler.count_vsym(region)
+        value = tiler.count_plain(upper_half(region)) if hsym else tiler.count_free(left_half_free(region))
         method = "half-region kasteleyn-det" if hsym else "half-region kasteleyn-pfaffian"
         # the enumeration gate needs the plain count only within the
         # triangle cap; M = M_h * W below needs it for hsym everywhere
@@ -136,27 +139,25 @@ def cmd_count(args) -> int:
 # verify / polycheck / selftest
 
 
-def _require_trials(trials: int) -> None:
-    """Refuse an empty random suite up front where other suites' records
-    would hide it."""
-    if trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {trials}")
-
-
 def cmd_verify(args) -> int:
     grid = parse_grid(" ".join(args.grid)) if args.grid else None
-    if args.target == "all":
-        _require_trials(args.trials)
+    if args.target == "all" and args.trials < 1:
+        # refuse an empty random suite up front, where other suites' records would hide it
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     names = list(verify.SUITES) if args.target == "all" else [args.target]
-    checked = failures = 0
-    for name in names:
-        records = verify.run_suite(name, grid=grid, trials=args.trials, seed=args.seed)
-        checked += len(records)
-        failures += sum(1 for rec in records if not rec["pass"])
-        emit(records, args.format)
-    if not checked:
+    passed: list[bool] = []
+
+    def records():
+        # a generator, so that each suite's records print as the suite ends
+        for name in names:
+            for rec in verify.run_suite(name, grid=grid, trials=args.trials, seed=args.seed):
+                passed.append(rec["pass"])
+                yield rec
+
+    emit(records(), args.format)
+    if not passed:
         raise ValueError(f"verify {args.target} checked nothing: the grid or --trials selects no instance")
-    return 1 if failures else 0
+    return 0 if all(passed) else 1
 
 
 def cmd_polycheck(args) -> int:
@@ -182,11 +183,10 @@ def cmd_polycheck(args) -> int:
 def cmd_selftest(args) -> int:
     """One record per suite, printed once every suite has run; `--format
     text` prints a table instead, a line as each suite ends, and a verdict."""
-    _require_trials(args.trials)
     summary = []
     for name in verify.SUITES:
         started = time.perf_counter()
-        records = verify.run_suite(name, trials=args.trials, seed=args.seed)
+        records = verify.run_suite(name)
         seconds = time.perf_counter() - started
         bad = sum(1 for rec in records if not rec["pass"])
         summary.append(
@@ -216,11 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
-    def seeded(p):
-        common(p)
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--trials", type=int, default=200)
-
     p = sub.add_parser("count", help="count tilings of one region")
     p.add_argument("spec", nargs="+", help="region spec tokens, e.g. n=2 m=1 k=1")
     p.add_argument(
@@ -235,7 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one identity suite over a grid")
     p.add_argument("target", choices=(*verify.SUITES, "all"))
     p.add_argument("--grid", nargs="+", default=None, help='e.g. n<=4 m<=2 l<=1 or "n in {2,4}"')
-    seeded(p)
+    common(p)
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--trials", type=int, default=200)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("polycheck", help="finite differences of the rhombus-hole counts")
@@ -245,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_polycheck)
 
     p = sub.add_parser("selftest", help="run every suite on its default grid")
-    seeded(p)
+    common(p)
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from math import prod
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .intlinalg import (
     LabeledMatrix,
@@ -280,6 +281,39 @@ class EndlineFamilies:
     signs: frozenset[int]
 
 
+def _disjoint_families(options: Iterable[list[tuple]]) -> Iterator[tuple]:
+    """Each way to pick one candidate per start such that no two picked
+    paths share a point, as the tuple of the picked candidates' tags.
+
+    `options` yields, start by start, the list of (tag, path) candidates;
+    a start with no candidate ends the search with nothing picked, and so
+    does a product of list lengths past FAMILY_CAP, by CapExceeded."""
+    candidates = []
+    combos = 1
+    for opts in options:
+        combos *= max(len(opts), 1)
+        if combos > FAMILY_CAP:
+            raise CapExceeded(f"more than {FAMILY_CAP} candidate families")
+        if not opts:
+            return
+        candidates.append(opts)
+
+    used: set[Point] = set()
+
+    def rec(idx: int, tags: tuple) -> Iterator[tuple]:
+        if idx == len(candidates):
+            yield tags
+            return
+        for tag, path in candidates[idx]:
+            if any(v in used for v in path):
+                continue
+            used.update(path)
+            yield from rec(idx + 1, tags + (tag,))
+            used.difference_update(path)
+
+    yield from rec(0, ())
+
+
 def brute_force_endline_families(
     starts: Sequence[Point],
     ipoints: Sequence[Point],
@@ -287,57 +321,28 @@ def brute_force_endline_families(
     """Enumerate non-intersecting families where each path runs from its
     start to some point of the ordered endpoint list.
 
-    The permutation sign of a family orders the endpoints by their index
-    and reads off the induced arrangement of start indices; the signed
-    total equals the Pfaffian of free_endpoint_pfaffian_matrix.
+    The permutation sign of a family is (-1)^(inversions of its endpoint
+    indices read in start order); the signed total equals the Pfaffian of
+    free_endpoint_pfaffian_matrix.  A path contains its end, so disjoint
+    paths end at distinct points.
     """
-    ipoint_index = {pt: u for u, pt in enumerate(ipoints)}
-    candidates: list[list[tuple[int, tuple[Point, ...]]]] = []
-    combos = 1
-    for s in starts:
-        opts = []
-        for u, e in enumerate(ipoints):
-            for path in _monotone_paths(s, e, diagonal=False):
-                opts.append((u, path))
-        candidates.append(opts)
-        combos *= max(len(opts), 1)
-        if combos > FAMILY_CAP:
-            raise CapExceeded(f"more than {FAMILY_CAP} candidate families")
-        if not opts:
-            return EndlineFamilies(0, 0, frozenset())
-
+    options = (
+        [(u, path) for u, e in enumerate(ipoints) for path in _monotone_paths(s, e, diagonal=False)]
+        for s in starts
+    )
     total = 0
     signed_total = 0
     signs: set[int] = set()
-    used: set[Point] = set()
-    chosen_ends: list[int] = []
-
-    def rec(idx: int) -> None:
-        nonlocal total, signed_total
-        if idx == len(starts):
-            order = sorted(range(len(starts)), key=lambda i: chosen_ends[i])
-            inversions = sum(
-                1
-                for a, b in combinations(range(len(order)), 2)
-                if order[a] > order[b]
-            )
-            sign = -1 if inversions % 2 else 1
-            signs.add(sign)
-            total += 1
-            signed_total += sign
-            return
-        for u, path in candidates[idx]:
-            if u in (chosen_ends[i] for i in range(idx)):
-                continue
-            if any(v in used for v in path):
-                continue
-            used.update(path)
-            chosen_ends.append(u)
-            rec(idx + 1)
-            chosen_ends.pop()
-            used.difference_update(path)
-
-    rec(0)
+    for chosen_ends in _disjoint_families(options):
+        inversions = sum(
+            1
+            for a, b in combinations(chosen_ends, 2)
+            if a > b
+        )
+        sign = -1 if inversions % 2 else 1
+        signs.add(sign)
+        total += 1
+        signed_total += sign
     return EndlineFamilies(total, signed_total, frozenset(signs))
 
 
@@ -348,34 +353,11 @@ def brute_force_fixed_families(
 ) -> int:
     """Weighted count of non-intersecting families with path i running from
     starts[i] to ends[i] (the LGV setting)."""
-    candidates = []
-    combos = 1
-    for s, e in zip(starts, ends, strict=True):
-        opts = list(_monotone_paths(s, e, diagonal))
-        combos *= max(len(opts), 1)
-        if combos > FAMILY_CAP:
-            raise CapExceeded(f"more than {FAMILY_CAP} candidate families")
-        if not opts:
-            return 0
-        candidates.append(opts)
-
-    total = 0
-    used: set[Point] = set()
-
-    def rec(idx: int, weight: int) -> None:
-        nonlocal total
-        if idx == len(candidates):
-            total += weight
-            return
-        for path in candidates[idx]:
-            if any(v in used for v in path):
-                continue
-            used.update(path)
-            rec(idx + 1, weight * _path_weight(path, diagonal))
-            used.difference_update(path)
-
-    rec(0, 1)
-    return total
+    options = (
+        [(_path_weight(path, diagonal), path) for path in _monotone_paths(s, e, diagonal)]
+        for s, e in zip(starts, ends, strict=True)
+    )
+    return sum(prod(weights) for weights in _disjoint_families(options))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
+from typing import Iterator
 
 from .intlinalg import LabeledMatrix, determinant, pfaffian_elimination
 
@@ -183,10 +185,20 @@ def check_hypotheses(a: LabeledMatrix) -> StructuredSkew:
 # the fold and the reduced block
 
 
-def _fold_sources(lab):
-    if isinstance(lab, int) and lab <= 0:
-        return [lab + 2 * r for r in range(-lab + 1)]
-    return [lab]
+def _congruence(a: LabeledMatrix, sources) -> LabeledMatrix:
+    """Replace each row by the signed sum of the rows that sources(label)
+    lists as (sign, label) pairs, then each column the same way.  Two
+    passes, so no entry is a double sum over both lists."""
+
+    def combine(vectors, labels) -> Iterator[list[int]]:
+        at = dict(zip(labels, vectors))
+        for lab in labels:
+            signs, picked = zip(*[(sign, at[src]) for sign, src in sources(lab)])
+            yield [sum(map(mul, signs, entries)) for entries in zip(*picked)]
+
+    half = combine(a.rows, a.row_labels)
+    cols = combine(list(zip(*half)), a.col_labels)
+    return LabeledMatrix(a.row_labels, a.col_labels, zip(*cols))
 
 
 def fold_transform(a: LabeledMatrix) -> LabeledMatrix:
@@ -195,17 +207,13 @@ def fold_transform(a: LabeledMatrix) -> LabeledMatrix:
     so the Pfaffian is unchanged; on hypothesis-satisfying input the
     result vanishes on (nonpositive, nonpositive) and (nonpositive, minus)
     blocks while the (nonpositive, plus) block is untouched."""
-    labels = list(a.row_labels)
-    col_of = {lab: idx for idx, lab in enumerate(labels)}
-    half = [
-        [sum(a.get(src, c) for src in _fold_sources(r)) for c in labels]
-        for r in labels
-    ]
-    full = [
-        [sum(row[col_of[src]] for src in _fold_sources(c)) for c in labels]
-        for row in half
-    ]
-    return LabeledMatrix(labels, labels, full)
+
+    def sources(lab):
+        if isinstance(lab, int) and lab <= 0:
+            return [(1, lab + 2 * r) for r in range(-lab + 1)]
+        return [(1, lab)]
+
+    return _congruence(a, sources)
 
 
 def _first_bad_fold_entry(folded: LabeledMatrix, original: LabeledMatrix, m: int, l: int) -> tuple | None:
@@ -306,25 +314,12 @@ def difference_transform(b: LabeledMatrix) -> LabeledMatrix:
     hole rows untouched), then the same with columns.  Unit-triangular row
     and column operations, so the determinant is unchanged."""
 
-    def first_differences(labels, vector_of):
-        out = []
-        for lab in labels:
-            if isinstance(lab, int) and lab >= 2:
-                out.append(
-                    [x - y for x, y in zip(vector_of(lab), vector_of(lab - 1))]
-                )
-            else:
-                out.append(list(vector_of(lab)))
-        return out
+    def sources(lab):
+        if isinstance(lab, int) and lab >= 2:
+            return [(1, lab), (-1, lab - 1)]
+        return [(1, lab)]
 
-    ri = {lab: i for i, lab in enumerate(b.row_labels)}
-    half = first_differences(b.row_labels, lambda lab: b.rows[ri[lab]])
-    ci = {lab: j for j, lab in enumerate(b.col_labels)}
-    cols = first_differences(
-        b.col_labels, lambda lab: [row[ci[lab]] for row in half]
-    )
-    rows = [[cols[j][i] for j in range(len(b.col_labels))] for i in range(len(b.row_labels))]
-    return LabeledMatrix(b.row_labels, b.col_labels, rows)
+    return _congruence(b, sources)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,10 @@ proved: it holds on every region the tests compare with the profile DP
 of `tests/oracles.py`, and fails where a free up lacks a row neighbour (a hole opening onto the
 cut through a down triangle), a layout `_free_ups` refuses.
 
-The symmetry classes have no engine of their own: `count_hsym` is the plain
-count of the upper half and `count_vsym` the free count of the left half.
+The symmetry classes have no engine of their own.  M_h, the tilings fixed
+by reflect_h, is `count_plain(upper_half(region))`: such a tiling places a
+horizontal lozenge on every surviving axis position.  M_v, those fixed by
+reflect_v, is `count_free(left_half_free(region))`.
 
 A tile is a sorted tuple of one or two triangles: two for a lozenge, one
 for a half lozenge protruding across a free edge.  A tiling is a frozenset
@@ -63,8 +65,6 @@ from .regions import (
     RegionSpec,
     Triangle,
     build_region,
-    left_half_free,
-    upper_half,
 )
 
 Tile = tuple[Triangle, ...]
@@ -422,23 +422,6 @@ def count_free(region: Region) -> int:
     if root * root != square:
         raise ArithmeticError(f"the boundary-monomer determinant {square} is not a square")
     return root
-
-
-# ---------------------------------------------------------------------------
-# symmetry classes
-
-
-def count_hsym(region: Region) -> int:
-    """Tilings fixed by reflect_h, counted as tilings of the half region
-    above the hole axis: a symmetric tiling must place a horizontal lozenge
-    on every surviving axis position."""
-    return count_plain(upper_half(region))
-
-
-def count_vsym(region: Region) -> int:
-    """Tilings fixed by reflect_v, counted as free-boundary tilings of the
-    left half."""
-    return count_free(left_half_free(region))
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def _symmetry_classes(region: Region, plain: int) -> tuple[int, int]:
     it is enumerable, else by the half-region engines."""
     if tiler.enumerable(region, plain):
         return tiler.symmetric_via_enumeration(region)
-    return tiler.count_hsym(region), tiler.count_vsym(region)
+    return tiler.count_plain(upper_half(region)), tiler.count_free(left_half_free(region))
 
 
 def _factorization(specs: Sequence[RegionSpec], identity: str) -> list[dict]:
@@ -129,12 +129,10 @@ def check_halves(specs: Sequence[RegionSpec]) -> list[dict]:
         if not tiler.enumerable(region, tiler.count_plain(region)):
             continue
         hs, vs = tiler.symmetric_via_enumeration(region)
-        out.append(
-            record(spec.text(), "sym-eq-upper-half", hs, tiler.count_hsym(region), "enumeration-filter", "kasteleyn-det")
-        )
-        out.append(
-            record(spec.text(), "sym-eq-free-half", vs, tiler.count_vsym(region), "enumeration-filter", "kasteleyn-pfaffian")
-        )
+        upper = tiler.count_plain(upper_half(region))
+        free = tiler.count_free(left_half_free(region))
+        out.append(record(spec.text(), "sym-eq-upper-half", hs, upper, "enumeration-filter", "kasteleyn-det"))
+        out.append(record(spec.text(), "sym-eq-free-half", vs, free, "enumeration-filter", "kasteleyn-pfaffian"))
     return out
 
 

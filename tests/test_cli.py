@@ -105,6 +105,33 @@ def test_csv_format(capsys):
     assert "20" in row
 
 
+@pytest.mark.parametrize("grid", ["n=2 n=4", "n<=3 n in {5}", "m=1 n=2 m<=2"])
+def test_repeated_grid_variable_exits_2(capsys, grid):
+    with pytest.raises(ValueError, match="given twice"):
+        parse_grid(grid)
+    code = main(["verify", "factorization", "--grid", grid])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: grid variable") and captured.err.count("\n") == 1
+    assert json.loads(captured.out) == {"error": captured.err[len("error: ") : -1], "pass": False}
+
+
+def test_verify_all_csv_is_one_table(capsys):
+    # one header, then every suite's rows in the order the JSON records come
+    grid = ["--grid", "n<=3 m=1 l<=1", "--trials", "3"]
+    code, out = run(capsys, "verify", "all", *grid, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 138
+    assert [line for line in lines if line.startswith("spec,identity,")] == [lines[0]]
+    code, out = run(capsys, "verify", "all", *grid)
+    records = [json.loads(line) for line in out.splitlines()]
+    rows = list(csv.DictReader(io.StringIO("\n".join(lines))))
+    assert [(row["spec"], row["identity"], row["lhs"]) for row in rows] == [
+        (rec["spec"], rec["identity"], rec["lhs"]) for rec in records
+    ]
+
+
 def test_bad_spec_exits_nonzero(capsys):
     code = main(["count", "n=2"])
     assert code == 2
@@ -226,6 +253,11 @@ def test_verify_that_checks_nothing_exits_2(capsys, argv):
         ["count", "n=2", "m=1", "--seed", "9"],
         ["polycheck", "n=2", "m=1", "--trials", "5"],
         ["polycheck", "n=2", "m=1", "--seed", "9"],
+        # selftest runs the defaults
+        ["selftest", "--trials", "-3"],
+        ["selftest", "--trials", "0"],
+        ["selftest", "--trials", "5"],
+        ["selftest", "--seed", "9"],
     ],
 )
 def test_count_and_polycheck_take_no_seed_or_trials(capsys, argv):
@@ -238,8 +270,9 @@ def test_count_and_polycheck_take_no_seed_or_trials(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["selftest", "--trials", "-3"],
-        ["selftest", "--trials", "0"],
+        ["verify", "all", "--trials", "0"],
+        # refused before any grid instance runs
+        ["verify", "all", "--grid", "n<=2", "m=1", "--trials", "0"],
         ["verify", "all", "--trials", "-3"],
     ],
 )

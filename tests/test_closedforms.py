@@ -7,8 +7,8 @@ from hexholes.closedforms import (
     symmetric_box_tilings,
     transpose_complement_box_tilings,
 )
-from hexholes.regions import build_hexagon
-from hexholes.tiler import count_hsym, count_plain, count_vsym
+from hexholes.regions import build_hexagon, left_half_free, upper_half
+from hexholes.tiler import count_free, count_plain
 
 
 def test_box_tilings_values():
@@ -33,8 +33,8 @@ def test_box_tilings_rejects_negative():
 def test_formulas_match_tiler(n, m):
     region = build_hexagon(n, m)
     assert box_tilings(2 * m, n, n) == count_plain(region)
-    assert symmetric_box_tilings(n, 2 * m) == count_vsym(region)
-    assert transpose_complement_box_tilings(m, n) == count_hsym(region)
+    assert symmetric_box_tilings(n, 2 * m) == count_free(left_half_free(region))
+    assert transpose_complement_box_tilings(m, n) == count_plain(upper_half(region))
 
 
 def test_symmetric_box_small_values():

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hexholes import paths
 from hexholes.intlinalg import LabeledMatrix, determinant, pfaffian_elimination
 from hexholes.paths import (
+    EndlineFamilies,
     brute_force_endline_families,
     brute_force_fixed_families,
     count_free_via_pfaffian,
@@ -20,7 +22,7 @@ from hexholes.paths import (
     start_point,
 )
 from hexholes.reduction import endpoint_labels, hole_sign
-from hexholes.regions import RegionSpec, build_region, left_half_free, lower_half_weighted
+from hexholes.regions import CapExceeded, RegionSpec, build_region, left_half_free, lower_half_weighted
 from hexholes.tiler import axis_cut_positions, count_free, count_weighted2, split_by_axis
 from hexholes.verify import iter_specs
 
@@ -173,6 +175,43 @@ def test_single_path_family_is_free_count():
 
 def test_crossing_forced_family_is_zero():
     assert brute_force_fixed_families([(0, 0), (1, 0)], [(1, 1), (0, 1)]) == 0
+
+
+NO_FAMILY = EndlineFamilies(0, 0, frozenset())
+
+
+def test_a_start_with_no_path_gives_no_family():
+    # nothing lies weakly north-east of (5, 5)
+    for starts in ([(0, 0), (5, 5)], [(5, 5), (0, 0)]):
+        assert brute_force_endline_families(starts, [(1, 1), (2, 0)]) == NO_FAMILY
+        assert brute_force_fixed_families(starts, [(1, 1), (2, 0)]) == 0
+
+
+def test_family_oracles_stop_at_the_cap(monkeypatch):
+    # six paths run from (0, 0) to (2, 2)
+    monkeypatch.setattr(paths, "FAMILY_CAP", 6)
+    assert brute_force_endline_families([(0, 0)], [(2, 2)]).total == 6
+    assert brute_force_fixed_families([(0, 0)], [(2, 2)]) == 6
+    monkeypatch.setattr(paths, "FAMILY_CAP", 5)
+    with pytest.raises(CapExceeded):
+        brute_force_endline_families([(0, 0)], [(2, 2)])
+    with pytest.raises(CapExceeded):
+        brute_force_fixed_families([(0, 0)], [(2, 2)])
+    # start by start: the cap is checked before a later start's empty list,
+    # and an earlier start's empty list ends the search before the cap
+    with pytest.raises(CapExceeded):
+        brute_force_endline_families([(0, 0), (5, 5)], [(2, 2)])
+    with pytest.raises(CapExceeded):
+        brute_force_fixed_families([(0, 0), (5, 5)], [(2, 2), (0, 0)])
+    assert brute_force_endline_families([(5, 5), (0, 0)], [(2, 2)]) == NO_FAMILY
+    assert brute_force_fixed_families([(5, 5), (0, 0)], [(0, 0), (2, 2)]) == 0
+
+
+def test_paths_meeting_at_one_endpoint_form_no_family():
+    # each start's only path ends at (1, 1)
+    starts = [(0, 1), (1, 0)]
+    assert brute_force_endline_families(starts, [(1, 1)]) == NO_FAMILY
+    assert brute_force_fixed_families(starts, [(1, 1), (1, 1)]) == 0
 
 
 def test_brute_force_families_match_formulas():

@@ -22,10 +22,8 @@ from hexholes.regions import (
 from hexholes.tiler import (
     axis_cut_positions,
     count_free,
-    count_hsym,
     count_plain,
     count_via_enumeration,
-    count_vsym,
     count_weighted2,
     enumerate_tilings,
     left_piece,
@@ -98,7 +96,10 @@ def test_symmetric_filters_match_half_counts():
         region = build_region(spec)
         if count_plain(region) > 5000:
             continue
-        assert symmetric_via_enumeration(region) == (count_hsym(region), count_vsym(region))
+        assert symmetric_via_enumeration(region) == (
+            count_plain(upper_half(region)),
+            count_free(left_half_free(region)),
+        )
 
 
 def test_symmetric_tilings_cover_axis_positions():
@@ -145,7 +146,7 @@ def test_split_by_axis_counts():
     table = split_by_axis(spec)
     assert len(table) == 6  # C(n + 2m, n) subsets of the available slots
     assert sum(c * c for _, c in table) == count_plain(region)
-    assert sum(c for _, c in table) == count_vsym(region)
+    assert sum(c for _, c in table) == count_free(left_half_free(region))
 
 
 def test_split_rejects_holes():
@@ -166,8 +167,8 @@ def _five_counts(spec):
     region = build_region(spec)
     return (
         count_plain(region),
-        count_hsym(region),
-        count_vsym(region),
+        count_plain(upper_half(region)),
+        count_free(left_half_free(region)),
         count_free(left_half_free(region)),
         count_weighted2(lower_half_weighted(region)),
     )
@@ -213,7 +214,10 @@ def test_engines_agree_on_random_small_regions(spec):
     if plain > 5000:
         return
     assert plain == count_via_enumeration(region)
-    assert symmetric_via_enumeration(region) == (count_hsym(region), count_vsym(region))
+    assert symmetric_via_enumeration(region) == (
+        count_plain(upper_half(region)),
+        count_free(left_half_free(region)),
+    )
     # rhombus specs have no closed form: enumeration checks both halves
     half = left_half_free(region)
     assert count_free(half) == count_via_enumeration(half)
@@ -246,7 +250,7 @@ def test_kasteleyn_halves_at_closed_form_scale():
     free = count_free(left_half_free(region))
     assert free == count_free_via_pfaffian(spec)
     assert count_weighted2(lower_half_weighted(region)) == free
-    assert count_plain(region) == count_hsym(region) * free
+    assert count_plain(region) == count_plain(upper_half(region)) * free
 
 
 def _kasteleyn_halves_match_dp(spec):
