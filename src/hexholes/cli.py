@@ -54,9 +54,9 @@ def parse_grid(text: str) -> dict:
     return bounds
 
 
-def emit(records: Iterable[dict], fmt: str, out=None) -> None:
-    """Write the records as they come; CSV takes its one header from the first."""
-    out = out or sys.stdout
+def emit(records: Iterable[dict], fmt: str) -> None:
+    """Write the records to stdout as they come; CSV takes its one header from the first."""
+    out = sys.stdout
     if fmt == "json":
         for rec in records:
             out.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -95,13 +95,14 @@ def cmd_count(args) -> int:
         value = tiler.count_plain(upper_half(region)) if hsym else tiler.count_free(left_half_free(region))
         method = "half-region kasteleyn-det" if hsym else "half-region kasteleyn-pfaffian"
         # the enumeration gate needs the plain count only within the
-        # triangle cap; M = M_h * W below needs it for hsym everywhere
+        # triangle cap; M = M_h * W below needs it for a rhombus-free hsym
         within_cap = len(region.triangles) <= tiler.TRIANGLE_CAP
-        plain = tiler.count_plain(region) if hsym or within_cap else None
+        weighted_split = hsym and not spec.central_x
+        plain = tiler.count_plain(region) if within_cap or weighted_split else None
         if within_cap and tiler.enumerable(region, plain):
             expected = tiler.symmetric_via_enumeration(region)[0 if hsym else 1]
             crosscheck = "ok" if expected == value else "MISMATCH"
-        elif hsym and not spec.central_x:
+        elif weighted_split:
             # the weighted split M = M_h * W, with W from the LGV determinant
             crosscheck = "ok" if value * paths.count_weighted2_via_det(spec) == plain else "MISMATCH"
         elif not spec.central_x:

@@ -31,7 +31,15 @@ from .intlinalg import (
     signed_range_sum,
     determinant,
 )
-from .reduction import endpoint_labels, hole_sign, parse_hole_label, reduced_labels
+from .reduction import (
+    StructuredSkew,
+    hole_sign,
+    int_labels,
+    minus_label,
+    parse_hole_label,
+    plus_label,
+    reduced_labels,
+)
 from .regions import CapExceeded, RegionSpec
 
 Point = tuple[int, int]
@@ -138,54 +146,35 @@ def cut_line_points(spec: RegionSpec) -> list[Point]:
 def endline_skew_matrix(spec: RegionSpec) -> LabeledMatrix:
     """Closed form of the free-endpoint skew matrix for a spec.
 
-    Entries are signed binomial sums (read with signed_range_sum); the
-    signed Pfaffian equals the free-boundary half-region count.  Agrees
-    entrywise with free_endpoint_pfaffian_matrix on the truncated cut line.
+    The entries are signed binomial sums (read with signed_range_sum): the
+    band x_d, the bridge y and the hole block z of `StructuredSkew`, which
+    lays them out.  The signed Pfaffian equals the free-boundary
+    half-region count.  Agrees entrywise with free_endpoint_pfaffian_matrix
+    on the truncated cut line.
     """
     if spec.central_x:
         raise ValueError("endline_skew_matrix needs a rhombus-free spec")
     n, m, ks = spec.n, spec.m, spec.holes
-    labels = endpoint_labels(m, spec.l)
-
-    def upper(i, j) -> int:
-        i_int = isinstance(i, int)
-        j_int = isinstance(j, int)
-        if i_int and j_int:
-            return signed_range_sum(lambda r: binomial(2 * n, n + r), i - j + 1, j - i)
-        if i_int:
-            t, minus = parse_hole_label(j)
-            k = ks[t - 1]
-            if minus:
-                return signed_range_sum(
-                    lambda r: binomial(2 * n - 2 * k, n - k + r), i + 1, -i
-                )
-            return signed_range_sum(
-                lambda r: binomial(2 * n - 2 * k, n - k + r), i, -i + 1
-            )
-        # both hole labels
-        t, i_minus = parse_hole_label(i)
-        s, j_minus = parse_hole_label(j)
-        kt, kst = ks[t - 1], ks[s - 1]
-        if i_minus and not j_minus:
-            base = 2 * n - 2 * kt - 2 * kst
-            top = n - kt - kst
-            return binomial(base, top) + binomial(base, top + 1)
-        return 0
-
-    index = {lab: pos for pos, lab in enumerate(labels)}
-
-    def entry(i, j) -> int:
-        if index[i] < index[j]:
-            return upper(i, j)
-        if index[i] > index[j]:
-            return -upper(j, i)
-        return 0
-
-    mat = LabeledMatrix.build(labels, labels, entry)
-    bad = mat.skew_violations()
-    if bad:
-        raise AssertionError(f"closed-form skew matrix broke skew-symmetry: {bad[0]}")
-    return mat
+    band = tuple(
+        signed_range_sum(lambda r: binomial(2 * n, n + r), 1 - d, d) for d in range(1, 2 * m)
+    )
+    y: dict = {}
+    z: dict = {}
+    for t, k in enumerate(ks, start=1):
+        neg, pos = minus_label(t), plus_label(t)
+        bridge = lambda r: binomial(2 * n - 2 * k, n - k + r)
+        for i in int_labels(m):
+            y[(i, neg)] = signed_range_sum(bridge, i + 1, -i)
+            y[(i, pos)] = signed_range_sum(bridge, i, 1 - i)
+        for s, k_s in enumerate(ks, start=1):
+            base = 2 * n - 2 * k - 2 * k_s
+            top = n - k - k_s
+            z[(neg, plus_label(s))] = binomial(base, top) + binomial(base, top + 1)
+            z[(plus_label(s), neg)] = -z[(neg, plus_label(s))]
+            if s != t:
+                z[(neg, minus_label(s))] = 0
+                z[(pos, plus_label(s))] = 0
+    return StructuredSkew(m, spec.l, band, y, z).to_matrix()
 
 
 def count_free_via_pfaffian(spec: RegionSpec) -> int:

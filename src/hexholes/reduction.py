@@ -276,8 +276,6 @@ class ReductionCertificate:
     pfaffian: int
     reduced_det: int
     sign: int
-    m: int
-    l: int
     reduced: LabeledMatrix
     first_bad_fold_entry: tuple | None
 
@@ -302,8 +300,6 @@ def verify_pfaffian_reduction(a: LabeledMatrix) -> ReductionCertificate:
         pfaffian=pf,
         reduced_det=det,
         sign=sign,
-        m=ss.m,
-        l=ss.l,
         reduced=reduced,
         first_bad_fold_entry=_first_bad_fold_entry(folded, a, ss.m, ss.l),
     )

@@ -249,30 +249,20 @@ def _remove_cells(region: Region, cells: set[Triangle], what: str) -> Region:
     return replace(region, triangles=region.triangles - cells)
 
 
-def _mirror_pair_cells(region: Region, apex_row: int, side: int) -> set[Triangle]:
-    """Cells of an up-pointing axis triangle plus its reflect_v mirror image."""
+def punch_symmetric_triangle_pair(region: Region, apex_row: int, side: int) -> Region:
+    """Remove an up-pointing axis triangle plus its reflect_v mirror image."""
     up_cells = axis_up_triangle_cells(region, apex_row, side)
     mirror = {region.reflect_v(t) for t in up_cells}
     if not up_cells.isdisjoint(mirror):
         raise ValueError(f"triangle pair at row {apex_row} overlaps its own mirror image")
-    return up_cells | mirror
-
-
-def punch_symmetric_triangle_pair(region: Region, apex_row: int, side: int) -> Region:
-    """Remove an up-pointing axis triangle plus its reflect_v mirror image."""
-    cells = _mirror_pair_cells(region, apex_row, side)
-    return _remove_cells(region, cells, f"triangle pair at row {apex_row}")
+    return _remove_cells(region, up_cells | mirror, f"triangle pair at row {apex_row}")
 
 
 def punch_holes(region: Region, holes: Iterable[int]) -> Region:
     """Punch the mirror pair of side-2 triangular holes for each hole index."""
-    taken: set[Triangle] = set()
     for k in sorted(holes):
-        pair = _mirror_pair_cells(region, 2 * k - 2, 2)
-        if pair & taken:
-            raise ValueError(f"hole k={k} overlaps another hole")
-        taken |= pair
-    return _remove_cells(region, taken, "hole set")
+        region = punch_symmetric_triangle_pair(region, 2 * k - 2, 2)
+    return region
 
 
 def build_region(spec: RegionSpec) -> Region:

@@ -221,11 +221,11 @@ def check_axis_split(specs: Sequence[RegionSpec]) -> list[dict]:
     return out
 
 
-def check_contiguity(cases: Sequence[tuple[int, int, int]] = ((4, 1, 1), (6, 1, 1), (6, 1, 2), (6, 2, 1), (5, 1, 1))) -> list[dict]:
+def check_contiguity() -> list[dict]:
     """Two adjacent side-2 hole pairs count like one side-4 pair with the
     same apex."""
     out = []
-    for n, m, k in cases:
+    for n, m, k in ((4, 1, 1), (6, 1, 1), (6, 1, 2), (6, 2, 1), (5, 1, 1)):
         spec = RegionSpec(n, m, (k, k + 1))
         two = tiler.count_plain(build_region(spec))
         merged = punch_symmetric_triangle_pair(build_hexagon(n, m), 2 * k - 2, 4)
@@ -304,6 +304,11 @@ def check_lgv_matrix(specs: Sequence[RegionSpec]) -> list[dict]:
     return out
 
 
+def _certificate_record(spec: str, identity: str, cert: reduction.ReductionCertificate) -> dict:
+    """The certificate's Pfaffian against its signed reduced determinant."""
+    return record(spec, identity, cert.pfaffian, cert.sign * cert.reduced_det, "pfaffian", "sign*det(reduced)")
+
+
 def check_reduction(trials: int = 200, seed: int = 7, m_max: int = 4, l_max: int = 2) -> list[dict]:
     """Seeded random structured-skew suite: the certificate must pass and the
     folded matrix must show the proven zero blocks exactly (both read off
@@ -316,16 +321,7 @@ def check_reduction(trials: int = 200, seed: int = 7, m_max: int = 4, l_max: int
         a = reduction.random_structured(rng, m, l).to_matrix()
         cert = reduction.verify_pfaffian_reduction(a)
         name = f"random m={m} l={l} trial={trial}"
-        out.append(
-            record(
-                name,
-                "reduction-certificate",
-                cert.pfaffian,
-                cert.sign * cert.reduced_det,
-                "pfaffian",
-                "sign*det(reduced)",
-            )
-        )
+        out.append(_certificate_record(name, "reduction-certificate", cert))
         bad = cert.first_bad_fold_entry
         where = "" if bad is None else f", first bad entry {bad!r}"
         out.append(record(name, "fold-zero-blocks", int(bad is None), 1, f"folded matrix{where}", "expected"))
@@ -343,16 +339,7 @@ def check_reduction_chain(specs: Sequence[RegionSpec]) -> list[dict]:
             continue
         s = spec.text()
         cert = reduction.verify_pfaffian_reduction(paths.endline_skew_matrix(spec))
-        out.append(
-            record(
-                s,
-                "reduction-on-spec-matrix",
-                cert.pfaffian,
-                cert.sign * cert.reduced_det,
-                "pfaffian",
-                "sign*det(reduced)",
-            )
-        )
+        out.append(_certificate_record(s, "reduction-on-spec-matrix", cert))
         transformed = reduction.difference_transform(cert.reduced)
         target = paths.diagonal_lgv_matrix(spec)
         out.append(
@@ -463,9 +450,6 @@ def polynomial_profile(n: int, m: int, x_max: int) -> dict:
             vanish_order = order
             break
     return {
-        "n": n,
-        "m": m,
-        "x_max": x_max,
         "values": [str(v) for v in values],
         "vanish_order": vanish_order,
         "pass": vanish_order is not None,

@@ -11,6 +11,7 @@ import pytest
 import hexholes
 from hexholes import tiler, verify
 from hexholes.cli import main, parse_grid
+from hexholes.regions import RegionSpec, build_region
 from hexholes.tiler import count_plain
 
 
@@ -161,10 +162,19 @@ def test_count_over_triangle_cap_uses_dp(capsys, cls):
         assert rec["crosscheck"] == "ok"
 
 
-@pytest.mark.parametrize("cls, counts_whole_region", [("hsym", True), ("vsym", False)])
-def test_vsym_over_triangle_cap_skips_the_plain_count(capsys, monkeypatch, cls, counts_whole_region):
-    # 304 triangles: past the triangle cap the enumeration gate is shut
-    # without a plain count; hsym still needs one for M = M_h * W
+@pytest.mark.parametrize(
+    "spec, cls, crosscheck, counts_whole_region",
+    [
+        ("n=8 m=3 k=2,4", "hsym", "ok", True),
+        ("n=8 m=3 k=2,4", "vsym", "ok", False),
+        ("n=6 m=3 x=2", "hsym", "skipped", False),
+    ],
+    ids=["hsym-True", "vsym-False", "hsym-rhombus-False"],
+)
+def test_vsym_over_triangle_cap_skips_the_plain_count(capsys, monkeypatch, spec, cls, crosscheck, counts_whole_region):
+    # 304 and 312 triangles: past the triangle cap the enumeration gate is
+    # shut without a plain count; hsym still needs one for M = M_h * W,
+    # which no route checks on a region with a central rhombus
     sizes = []
 
     def recording_count_plain(region):
@@ -172,9 +182,9 @@ def test_vsym_over_triangle_cap_skips_the_plain_count(capsys, monkeypatch, cls, 
         return count_plain(region)
 
     monkeypatch.setattr(tiler, "count_plain", recording_count_plain)
-    code, out = run(capsys, "count", "n=8", "m=3", "k=2,4", "--class", cls)
-    assert code == 0 and json.loads(out)["crosscheck"] == "ok"
-    assert (304 in sizes) == counts_whole_region
+    code, out = run(capsys, "count", *spec.split(), "--class", cls)
+    assert code == 0 and json.loads(out)["crosscheck"] == crosscheck
+    assert (len(build_region(RegionSpec.parse(spec)).triangles) in sizes) == counts_whole_region
 
 
 def test_verify_over_triangle_cap(capsys):

@@ -21,7 +21,7 @@ from hexholes.paths import (
     reflectable_gf,
     start_point,
 )
-from hexholes.reduction import endpoint_labels, hole_sign
+from hexholes.reduction import check_hypotheses, endpoint_labels, hole_sign
 from hexholes.regions import CapExceeded, RegionSpec, build_region, left_half_free, lower_half_weighted
 from hexholes.tiler import axis_cut_positions, count_free, count_weighted2, split_by_axis
 from hexholes.verify import iter_specs
@@ -132,6 +132,25 @@ def test_closed_skew_matrix_matches_double_sums():
         generic = free_endpoint_pfaffian_matrix(starts, cut_line_points(spec))
         assert generic == double_sum_matrix(starts, cut_line_points(spec)), spec.text()
         assert closed.rows == generic.rows, spec.text()
+
+
+@st.composite
+def closed_form_specs(draw):
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 5))
+    holes = draw(st.sets(st.integers(1, n // 2), max_size=4)) if n >= 2 else set()
+    return RegionSpec(n, m, tuple(sorted(holes)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_form_specs())
+def test_closed_skew_matrix_matches_generic_matrix_on_random_specs(spec):
+    closed = endline_skew_matrix(spec)
+    starts = [start_point(spec, lab) for lab in endpoint_labels(spec.m, spec.l)]
+    generic = free_endpoint_pfaffian_matrix(starts, cut_line_points(spec))
+    assert closed.rows == generic.rows
+    ss = check_hypotheses(closed)
+    assert (ss.m, ss.l) == (spec.m, spec.l)
 
 
 def test_widening_the_cut_line_changes_nothing():
