@@ -18,11 +18,10 @@ since steps strictly increase x + y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import prod
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .intlinalg import (
     LabeledMatrix,
@@ -259,8 +258,7 @@ def _path_weight(path: tuple[Point, ...], diagonal: bool) -> int:
     return 2**touches
 
 
-@dataclass(frozen=True)
-class EndlineFamilies:
+class EndlineFamilies(NamedTuple):
     """Brute-force tally of vertex-disjoint families with endpoints chosen
     from an ordered set: the raw count, the sign-weighted count, and the
     set of assignment-permutation signs that occurred."""

@@ -21,9 +21,8 @@ diagonal-confined LGV matrix.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .intlinalg import LabeledMatrix, determinant, pfaffian_elimination
 
@@ -81,8 +80,7 @@ def hole_sign(l: int) -> int:
     return -1 if (l * (l - 1) // 2) % 2 else 1
 
 
-@dataclass(frozen=True)
-class StructuredSkew:
+class StructuredSkew(NamedTuple):
     """The data determining a hypothesis-satisfying skew matrix.
 
     band[r-1] holds x_r for r = 1..2m-1 (with x_0 = 0, x_{-r} = -x_r);
@@ -265,8 +263,7 @@ def reduced_matrix_from_fold(folded: LabeledMatrix, m: int, l: int) -> LabeledMa
     return LabeledMatrix(rows, cols, entries)
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(NamedTuple):
     """One pass of the reduction over a matrix: the Pfaffian against the
     signed determinant of the reduced block, the block itself (as both
     routes built it) and the first entry where the folded matrix breaks

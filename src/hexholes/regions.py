@@ -27,8 +27,7 @@ analogous pair of side-x triangles meeting at the equator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import intlinalg
 
@@ -40,37 +39,48 @@ class CapExceeded(RuntimeError):
     the current caps, which says nothing about any identity."""
 
 
-@dataclass(frozen=True)
-class RegionSpec:
-    """Parameters naming a holey hexagon.
-
-    n, m: the hexagon has four sides n + central_x and two sides 2m.
-    holes: strictly increasing hole indices k with 0 < k <= n/2.
-    central_x: side of the central rhombus hole (0 = none; requires n even).
-    """
-
+class _SpecFields(NamedTuple):
     n: int
     m: int
     holes: tuple[int, ...] = ()
     central_x: int = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "holes", tuple(self.holes))
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"n and m must be positive, got n={self.n} m={self.m}")
-        ks = self.holes
+
+class RegionSpec(_SpecFields):
+    """Parameters naming a holey hexagon.
+
+    n, m: the hexagon has four sides n + central_x and two sides 2m.
+    holes: strictly increasing hole indices k with 0 < k <= n/2.
+    central_x: side of the central rhombus hole (0 = none; requires n even).
+
+    Every way of building one checks these: the constructor, `parse`, and
+    `_make`/`_replace`, which a plain named tuple would let past `__new__`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int, holes: Iterable[int] = (), central_x: int = 0) -> RegionSpec:
+        ks = tuple(holes)
+        if n < 1 or m < 1:
+            raise ValueError(f"n and m must be positive, got n={n} m={m}")
         if any(k < 1 for k in ks):
             raise ValueError(f"hole indices must be positive: {ks}")
         if list(ks) != sorted(set(ks)):
             raise ValueError(f"hole indices must be strictly increasing: {ks}")
-        if ks and 2 * ks[-1] > self.n:
-            raise ValueError(f"hole index {ks[-1]} exceeds n/2 = {self.n}/2")
-        if self.central_x < 0:
-            raise ValueError(f"central rhombus side must be >= 0, got {self.central_x}")
-        if self.central_x > 0 and self.n % 2:
+        if ks and 2 * ks[-1] > n:
+            raise ValueError(f"hole index {ks[-1]} exceeds n/2 = {n}/2")
+        if central_x < 0:
+            raise ValueError(f"central rhombus side must be >= 0, got {central_x}")
+        if central_x > 0 and n % 2:
             raise ValueError("a central rhombus needs even n")
         # hole k spans (k-1, k) on the axis and the rhombus spans
         # (n/2, n/2 + x), so k <= n/2 already rules out any overlap
+        return super().__new__(cls, n, m, ks, central_x)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> RegionSpec:
+        # `_replace` builds through `_make`, so this checks both
+        return cls(*iterable)
 
     @property
     def l(self) -> int:
@@ -116,8 +126,7 @@ class RegionSpec:
         )
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A set of unit triangles inside a hexagonal frame.
 
     side/m fix the frame (2*side rows); `triangles` is the present subset.
@@ -130,8 +139,8 @@ class Region:
     side: int
     m: int
     triangles: frozenset[Triangle]
-    free: frozenset[Triangle] = field(default=frozenset())
-    special: frozenset[Triangle] = field(default=frozenset())
+    free: frozenset[Triangle] = frozenset()
+    special: frozenset[Triangle] = frozenset()
 
     # -- frame geometry ------------------------------------------------------
 
@@ -140,9 +149,10 @@ class Region:
         return 2 * self.side
 
     def row_len(self, i: int) -> int:
-        if not 0 <= i < self.num_rows:
-            raise IndexError(f"row {i} outside frame of {self.num_rows} rows")
-        return 4 * self.m + 2 * min(i, self.num_rows - 1 - i) + 1
+        rows = 2 * self.side
+        if not 0 <= i < rows:
+            raise IndexError(f"row {i} outside frame of {rows} rows")
+        return 4 * self.m + 2 * min(i, rows - 1 - i) + 1
 
     def center(self, i: int) -> int:
         return self.row_len(i) // 2
@@ -166,11 +176,13 @@ class Region:
     def is_symmetric(self, ref: Callable[[Triangle], Triangle]) -> bool:
         """Is the region, with its free and special markers, fixed by the
         reflection ref (reflect_h or reflect_v)?"""
-        return (
-            {ref(t) for t in self.triangles} == set(self.triangles)
-            and {ref(t) for t in self.free} == set(self.free)
-            and {ref(t) for t in self.special} == set(self.special)
-        )
+        if ref == self.reflect_h:
+            # each row's last position looked up once, not once per triangle
+            last = [self.row_len(i) - 1 for i in range(self.num_rows)]
+            image = lambda cells: {(i, last[i] - p) for i, p in cells}
+        else:
+            image = lambda cells: {ref(t) for t in cells}
+        return all(image(cells) == cells for cells in (self.triangles, self.free, self.special))
 
     # -- adjacency -------------------------------------------------------------
 
@@ -182,8 +194,9 @@ class Region:
         j = i + 1 if self.is_up(t) else i - 1
         if not 0 <= j < self.num_rows:
             return None
-        q = p + (self.row_len(j) - self.row_len(i)) // 2
-        if not 0 <= q < self.row_len(j):
+        width = self.row_len(j)
+        q = p + (width - self.row_len(i)) // 2
+        if not 0 <= q < width:
             return None
         return (j, q)
 
@@ -225,7 +238,7 @@ def build_hexagon(n: int, m: int) -> Region:
         )
     frame = Region(side=n, m=m, triangles=frozenset())
     cells = frozenset((i, p) for i in range(2 * n) for p in range(frame.row_len(i)))
-    return replace(frame, triangles=cells)
+    return frame._replace(triangles=cells)
 
 
 def axis_up_triangle_cells(region: Region, apex_row: int, side: int) -> set[Triangle]:
@@ -246,7 +259,7 @@ def _remove_cells(region: Region, cells: set[Triangle], what: str) -> Region:
     missing = cells - set(region.triangles)
     if missing:
         raise ValueError(f"{what} is not inside the region: {sorted(missing)[:4]}")
-    return replace(region, triangles=region.triangles - cells)
+    return region._replace(triangles=region.triangles - cells)
 
 
 def punch_symmetric_triangle_pair(region: Region, apex_row: int, side: int) -> Region:
@@ -279,12 +292,18 @@ def build_region(spec: RegionSpec) -> Region:
 # symmetric halves
 
 
+def _centers(region: Region) -> list[int]:
+    """Each row's center position, looked up once per row."""
+    return [region.center(i) for i in range(region.num_rows)]
+
+
 def upper_half(region: Region) -> Region:
     """Everything strictly on one side of the hole axis; the axis lozenge
     positions themselves are excluded.  Requires reflect_h symmetry."""
     if not region.is_symmetric(region.reflect_h):
         raise ValueError("upper_half needs a reflect_h-symmetric region")
-    cells = frozenset(t for t in region.triangles if t[1] > region.center(t[0]))
+    centers = _centers(region)
+    cells = frozenset((i, p) for i, p in region.triangles if p > centers[i])
     return Region(side=region.side, m=region.m, triangles=cells)
 
 
@@ -293,7 +312,8 @@ def lower_half_weighted(region: Region) -> Region:
     up-triangles are marked as half-weight specials."""
     if not region.is_symmetric(region.reflect_h):
         raise ValueError("lower_half_weighted needs a reflect_h-symmetric region")
-    cells = frozenset(t for t in region.triangles if t[1] <= region.center(t[0]))
+    centers = _centers(region)
+    cells = frozenset((i, p) for i, p in region.triangles if p <= centers[i])
     specials = frozenset(up for up, _down in region.axis_positions())
     return Region(side=region.side, m=region.m, triangles=cells, special=specials)
 

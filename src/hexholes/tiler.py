@@ -93,7 +93,8 @@ def enumerate_tilings(region: Region) -> Iterator[Tiling]:
         raise CapExceeded(
             f"region has {len(region.triangles)} triangles, cap is {TRIANGLE_CAP}"
         )
-    order = sorted(region.triangles)
+    triangles, free = region.triangles, region.free
+    order = sorted(triangles)
     covered: set[Triangle] = set()
     tiles: list[Tile] = []
     emitted = 0
@@ -111,7 +112,7 @@ def enumerate_tilings(region: Region) -> Iterator[Tiling]:
         t = order[idx]
         i, p = t
         right = (i, p + 1)
-        if right in region.triangles and right not in covered:
+        if right in triangles and right not in covered:
             covered.add(t)
             covered.add(right)
             tiles.append((t, right))
@@ -121,7 +122,7 @@ def enumerate_tilings(region: Region) -> Iterator[Tiling]:
             covered.discard(right)
         if region.is_up(t):
             v = region.vertical_partner(t)
-            if v is not None and v in region.triangles and v not in covered:
+            if v is not None and v in triangles and v not in covered:
                 covered.add(t)
                 covered.add(v)
                 tiles.append((t, v))
@@ -129,7 +130,7 @@ def enumerate_tilings(region: Region) -> Iterator[Tiling]:
                 tiles.pop()
                 covered.discard(t)
                 covered.discard(v)
-            if t in region.free:
+            if t in free:
                 covered.add(t)
                 tiles.append((t,))
                 yield from extend(idx + 1)

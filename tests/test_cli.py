@@ -342,3 +342,14 @@ def test_a_closed_pipe_ends_quietly_with_status_141():
     assert proc.wait(timeout=60) == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_start_up_loads_no_source_introspection():
+    # dataclasses pulls in inspect, and inspect pulls in ast, dis and
+    # tokenize: about 10 ms of every command's start-up
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hexholes.__file__))}
+    code = f"import sys, hexholes.cli, hexholes.verify; print(*[m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -32,6 +32,35 @@ def test_spec_validation():
     RegionSpec(4, 1, (2,), central_x=3)  # hole touches the rhombus, no overlap
 
 
+BAD_SPECS = [
+    pytest.param((0, 1, (), 0), id="n=0"),
+    pytest.param((4, 1, (2, 1), 0), id="decreasing holes"),
+    pytest.param((5, 1, (), 1), id="x on odd n"),
+]
+
+
+def _spec_text(n, m, holes, x):
+    return f"n={n} m={m} k={','.join(map(str, holes))} x={x}"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda bad: RegionSpec(*bad), id="constructor"),
+        pytest.param(lambda bad: RegionSpec.parse(_spec_text(*bad)), id="parse"),
+        pytest.param(lambda bad: RegionSpec._make(bad), id="_make"),
+        pytest.param(
+            lambda bad: RegionSpec(6, 1)._replace(**dict(zip(RegionSpec._fields, bad))),
+            id="_replace",
+        ),
+    ],
+)
+@pytest.mark.parametrize("bad", BAD_SPECS)
+def test_every_way_of_building_a_spec_checks_it(build, bad):
+    with pytest.raises(ValueError):
+        build(bad)
+
+
 def test_spec_text_round_trip():
     spec = RegionSpec(15, 5, (2, 5, 7))
     assert spec.text() == "n=15 m=5 k=2,5,7"

@@ -1,5 +1,4 @@
 from collections import defaultdict
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -343,7 +342,7 @@ def test_free_count_refuses_layouts_outside_its_sign_argument():
     half = left_half_free(build_hexagon(2, 1))
     for free in ({(0, 0)}, {(1, 0)}):
         with pytest.raises(ValueError):
-            count_free(replace(half, free=frozenset(free)))
+            count_free(half._replace(free=frozenset(free)))
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +485,8 @@ def test_matrices_match_tuple_assembly_around_random_odd_holes(n, m, data):
     last = hexagon.num_rows - 1
     inner = sorted(t for t in hexagon.triangles if t[0] < last)
     holes = data.draw(st.sets(st.sampled_from(inner), min_size=1, max_size=10))
-    region = replace(hexagon, triangles=hexagon.triangles - holes)
+    region = hexagon._replace(triangles=hexagon.triangles - holes)
     ups = sorted(t for t in region.triangles if region.is_up(t))
     special = data.draw(st.sets(st.sampled_from(ups), min_size=1, max_size=4))
     free = frozenset(t for t in ups if t[0] == last)
-    _assert_matrices_match_tuples(replace(region, special=frozenset(special), free=free))
+    _assert_matrices_match_tuples(region._replace(special=frozenset(special), free=free))
