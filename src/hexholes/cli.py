@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -249,8 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(suites: tuple[str, ...]) -> argparse.ArgumentParser:
+    """build_parser(), built once per process: `verify`'s choices are read
+    from verify.SUITES when the parser is built, so its suite names are the
+    cache key."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser(tuple(verify.SUITES)).parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit

@@ -2,12 +2,13 @@
 
 Everything runs on Python's arbitrary-precision integers; nothing is ever
 rounded.  Determinants use fraction-free (Bareiss) elimination so that all
-intermediate values stay integral; large sparse matrices are eliminated
-modulo a prime instead (`det_mod_sparse`), which is exact once the caller
-picks a prime above twice a bound on the determinant (`modulus_above`).
-Pfaffians use an exact-rational elimination.  The slow routes the tests
-compare both against, the perfect-matching Pfaffian and the cofactor
-determinant, are in `tests/oracles.py`.
+intermediate values stay integral, and Pfaffians an exact-rational skew
+elimination.  Large sparse matrices are eliminated modulo a prime instead,
+for the determinant (`det_mod_sparse`) and for the Pfaffian of a skew
+matrix (`pfaffian_mod_sparse`), which is exact once the caller picks a
+prime above twice a bound on the value (`modulus_above`).  The slow routes
+the tests compare these against, the perfect-matching Pfaffian and the
+cofactor determinant, are in `tests/oracles.py`.
 
 Matrices carry explicit row/column labels (any hashable values) so callers
 can address entries by the same index sets that define them.
@@ -293,3 +294,79 @@ def det_mod_sparse(rows: Sequence[Mapping[int, int]], prime: int) -> int:
             length += 1
         odd ^= length > 0 and length % 2 == 0  # a cycle of length L is L - 1 swaps
     return (prime - det) % prime if odd else det
+
+
+def pfaffian_mod_sparse(rows: Sequence[Mapping[int, int]], prime: int) -> int:
+    """Pfaffian modulo a prime of the skew-symmetric matrix of even order
+    whose r-th row maps column -> entry (absent entries are zero), in
+    [0, prime).
+
+    Pairs one row with one column at a time: the first remaining row r,
+    and as its partner the column c of a nonzero A[r][c] whose own row has
+    the fewest entries.  Removing rows and columns r and c leaves the skew
+    Schur complement A[i][j] + (A[c][i] A[r][j] - A[r][i] A[c][j]) / A[r][c],
+    computed on one triangle and mirrored to the other, and Pf A is
+    A[r][c] times its Pfaffian, signed by the parity of the order in which
+    the pairs were taken.
+    """
+    n = len(rows)
+    if n % 2:
+        raise ValueError(f"pfaffian_mod_sparse needs even order, got {n}")
+    # updated entries are stored as symmetric residues, in (-prime/2, prime/2),
+    # so that the small integers of the early Schur complements stay small
+    half = prime // 2
+    rows = [{c: v for c, v in row.items() if v % prime} for row in rows]
+    if any(rows[c].get(r) != -v for r, row in enumerate(rows) for c, v in row.items()):
+        raise ValueError("pfaffian_mod_sparse needs a skew-symmetric matrix")
+    pf = 1
+    paired = [False] * n
+    order = []  # r_1, c_1, r_2, c_2, ...: row k of the eliminated matrix is row order[k]
+    for r in range(n):
+        if paired[r]:
+            continue
+        row_r = rows[r]
+        if not row_r:
+            return 0
+        c = min(row_r, key=lambda s: (len(rows[s]), s))
+        row_c = rows[c]
+        value = row_r.pop(c)
+        del row_c[r]
+        for i in row_r:
+            del rows[i][r]
+        for i in row_c:
+            del rows[i][c]
+        paired[r] = paired[c] = True
+        order += (r, c)
+        pf = pf * value % prime
+        inverse = pow(value, -1, prime)
+        scaled_c = {}  # A[c][i] / A[r][c]
+        for i, v in row_c.items():
+            v = v * inverse % prime
+            scaled_c[i] = v - prime if v > half else v
+        span = sorted(row_r.keys() | row_c.keys())
+        for k, i in enumerate(span):
+            xi, yi, row = scaled_c.get(i, 0), row_r.get(i, 0), rows[i]
+            for j in span[k + 1 :]:
+                delta = xi * row_r.get(j, 0) - yi * scaled_c.get(j, 0)
+                if not delta:
+                    continue
+                new = (row.get(j, 0) + delta) % prime
+                if new:
+                    if new > half:
+                        new -= prime
+                    row[j] = new
+                    rows[j][i] = -new
+                elif j in row:
+                    del row[j]
+                    del rows[j][i]
+    # the sign of the permutation that takes position k to row order[k]
+    seen = [False] * n
+    odd = False
+    for start in range(n):
+        k, length = start, 0
+        while not seen[k]:
+            seen[k] = True
+            k = order[k]
+            length += 1
+        odd ^= length > 0 and length % 2 == 0  # a cycle of length L is L - 1 swaps
+    return (prime - pf) % prime if odd else pf

@@ -224,7 +224,7 @@ def build_hexagon(n: int, m: int) -> Region:
 
     Its Kasteleyn matrix has n^2 + 4mn rows of norm up to sqrt(3), so the
     determinant bound has about (n^2 + 4mn) log2(3)/2 bits, and the free
-    half's matrix needs about as many.  A frame past the largest modulus of
+    half's Pfaffian bound about half as many.  A frame past the largest modulus of
     `intlinalg.KASTELEYN_PRIMES` can be counted by no engine, so it is
     refused here, before its cells are allocated."""
     if n < 1 or m < 1:

@@ -2,19 +2,21 @@
 
 Two kinds of engine, on arbitrary-precision integers:
 
-* Kasteleyn matrices, eliminated by `intlinalg.det_mod_sparse` modulo the
-  smallest prime of `intlinalg.KASTELEYN_PRIMES` above twice the matrix's
-  own Hadamard bound, which is exact.  A tiling is a perfect matching
-  between the region's up and down triangles, so with K the up/down
-  adjacency matrix, rows and columns in row-major order and signed by
-  `_defect_line`:
-  - `count_plain` is |det K|;
+* Kasteleyn matrices, eliminated modulo the smallest prime of
+  `intlinalg.KASTELEYN_PRIMES` above twice a bound on the value taken,
+  which is exact.  A tiling is a perfect matching between the region's up
+  and down triangles, so with K the up/down adjacency matrix, rows and
+  columns in row-major order and signed by `_defect_line`:
+  - `count_plain` is |det K|, by `intlinalg.det_mod_sparse` under K's
+    Hadamard bound;
   - `count_weighted2` is |det K| with entry 2 on each horizontal edge of a
     special triangle (Kasteleyn's theorem holds for any positive edge
     weights);
   - `count_free` is |Pf A| for the boundary-monomer matrix A below
     (Giuliani, Jauslin and Lieb, J. Stat. Phys. 2016), the graph form of
-    the free-endpoint Pfaffian of `paths`.
+    the free-endpoint Pfaffian of `paths`, by sparse skew elimination
+    (`intlinalg.pfaffian_mod_sparse`) under the square root of A's
+    Hadamard bound, since Pf(A)^2 = det A.
   Each is polynomial in the region size, and each assembles its matrix
   from `_frame`, the region's frame laid out once per call as integers.
 * exhaustive backtracking enumeration (the oracles, capped): plain and
@@ -58,7 +60,7 @@ from itertools import accumulate, combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from . import intlinalg
-from .intlinalg import det_mod_sparse, modulus_above
+from .intlinalg import det_mod_sparse, modulus_above, pfaffian_mod_sparse
 from .regions import (
     CapExceeded,
     Region,
@@ -337,19 +339,24 @@ def _up_edges(
     return edges
 
 
-def _exact_det(rows: list[dict[int, int]]) -> int:
-    """Determinant of the square sparse integer matrix, taken modulo the
-    smallest prime above twice its Hadamard bound and read back as the
-    symmetric residue, which is exact."""
-    bound = math.isqrt(math.prod(sum(v * v for v in row.values()) for row in rows))
+def _square_norms(rows: list[dict[int, int]]) -> int:
+    """The product of the rows' squared norms: Hadamard's bound on |det|,
+    squared."""
+    return math.prod(sum(v * v for v in row.values()) for row in rows)
+
+
+def _exact(kernel, rows: list[dict[int, int]], bound: int) -> int:
+    """kernel(rows, prime) taken modulo the smallest prime above twice the
+    bound on its absolute value, and read back as the symmetric residue,
+    which is exact."""
     prime = modulus_above(bound)
     if prime is None:
         raise CapExceeded(
-            f"the determinant bound of {bound.bit_length()} bits outgrows the "
+            f"the bound of {bound.bit_length()} bits outgrows the "
             f"largest modulus (2^{intlinalg.KASTELEYN_PRIMES[-1].bit_length()}-1)"
         )
-    det = det_mod_sparse(rows, prime)
-    return det - prime if det > prime // 2 else det
+    value = kernel(rows, prime)
+    return value - prime if value > prime // 2 else value
 
 
 def _count_det(region: Region, weighted: bool) -> int:
@@ -362,7 +369,8 @@ def _count_det(region: Region, weighted: bool) -> int:
     edges = _up_edges(region, frame, weighted, column)
     if 2 * len(edges) != len(frame.at):
         return 0
-    return abs(_exact_det([row for _, row in edges]))
+    rows = [row for _, row in edges]
+    return abs(_exact(det_mod_sparse, rows, math.isqrt(_square_norms(rows))))
 
 
 def count_plain(region: Region) -> int:
@@ -402,9 +410,7 @@ def _free_ups(region: Region) -> list[Triangle]:
 
 def count_free(region: Region) -> int:
     """Tilings with half lozenges allowed on the region's free edges, as
-    |Pf A| for the boundary-monomer matrix A of the module docstring.
-    Pf(A)^2 = det A, so the count is the square root of the exact
-    determinant, which must be a square."""
+    |Pf A| for the boundary-monomer matrix A of the module docstring."""
     frame = _frame(region)
     count = len(frame.at)
     size = count + count % 2  # the pad vertex z, when the order is odd
@@ -418,11 +424,12 @@ def count_free(region: Region) -> int:
         sign = -1 if (r + s) % 2 else 1
         rows[free[r]][free[s]] = sign
         rows[free[s]][free[r]] = -sign
-    square = _exact_det(rows)
-    root = math.isqrt(max(square, 0))
-    if root * root != square:
-        raise ArithmeticError(f"the boundary-monomer determinant {square} is not a square")
-    return root
+    # Pf(A)^2 = det A, and |det A| is at most isqrt of the product (Hadamard)
+    bound = math.isqrt(math.isqrt(_square_norms(rows)))
+    pf = abs(_exact(pfaffian_mod_sparse, rows, bound))
+    if pf > bound:
+        raise ArithmeticError(f"the boundary-monomer Pfaffian {pf} exceeds its bound {bound}")
+    return pf
 
 
 # ---------------------------------------------------------------------------

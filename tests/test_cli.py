@@ -353,3 +353,36 @@ def test_start_up_loads_no_source_introspection():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_a_parser_built_under_patched_suites_is_not_kept(capsys, monkeypatch):
+    # verify's choices are read from verify.SUITES when the parser is built
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "SUITES", {"stub": lambda grid, trials, seed: [{"pass": True}]})
+        code, out = run(capsys, "selftest")
+        assert code == 0 and json.loads(out)["suite"] == "stub"
+    code, out = run(capsys, "verify", "box-product")
+    assert code == 0 and out
+
+
+def test_repeated_calls_print_what_a_fresh_process_prints(capsys, monkeypatch):
+    # argparse wraps its usage at the terminal's width; fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hexholes.__file__))}
+    argvs = (
+        ["count", "n=2", "m=1", "--class", "vsym"],
+        ["verify", "no-such-suite"],  # an argparse error: usage, the choices and exit 2
+        ["count", "n=2"],  # a bad spec: exit 2 through main's own handler
+        ["polycheck", "n=2", "m=1", "--format", "text"],
+        ["count", "n=2", "m=1", "--class", "vsym"],
+    )
+    for argv in argvs:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "hexholes.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -12,6 +12,7 @@ from hexholes.intlinalg import (
     determinant,
     modulus_above,
     pfaffian_elimination,
+    pfaffian_mod_sparse,
     signed_range_sum,
 )
 
@@ -149,6 +150,43 @@ def test_det_mod_sparse_matches_bareiss():
                 sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
                 expected = determinant(from_rows(rows)) if n else 1
                 assert det_mod_sparse(sparse, prime) == expected % prime
+
+
+@st.composite
+def sparse_skew(draw):
+    """A random sparse skew integer matrix of even order 0-14, entries in
+    [-3, 3], as dense rows; some rows (and their columns) are all zero."""
+    n = draw(st.sampled_from(range(0, 15, 2)))
+    rows = [[0] * n for _ in range(n)]
+    empty = draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -3)))
+            if i not in empty and j not in empty:
+                rows[i][j], rows[j][i] = v, -v
+    return rows
+
+
+@given(sparse_skew(), st.sampled_from(KASTELEYN_PRIMES))
+def test_pfaffian_mod_sparse_matches_the_dense_pfaffian(rows, prime):
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    pf = pfaffian_mod_sparse(sparse, prime)
+    expected = pfaffian_elimination(from_rows(rows)) if rows else 1
+    assert pf == expected % prime  # the sign included
+    assert pf * pf % prime == det_mod_sparse(sparse, prime)
+
+
+def test_pfaffian_mod_sparse_edge_cases():
+    prime = KASTELEYN_PRIMES[0]
+    assert pfaffian_mod_sparse([], prime) == 1
+    # row 1 is all zero, though rows 0, 2 and 3 pair off
+    assert pfaffian_mod_sparse([{2: 1, 3: 1}, {}, {0: -1, 3: 1}, {0: -1, 2: -1}], prime) == 0
+    assert pfaffian_mod_sparse([{1: 5}, {0: -5}], prime) == 5
+    assert pfaffian_mod_sparse([{1: -5}, {0: 5}], prime) == prime - 5
+    with pytest.raises(ValueError):
+        pfaffian_mod_sparse([{}], prime)
+    with pytest.raises(ValueError):
+        pfaffian_mod_sparse([{1: 1}, {0: 1}], prime)
 
 
 def _lucas_lehmer(e: int) -> bool:

@@ -322,11 +322,12 @@ def test_kasteleyn_caps(monkeypatch):
         _profile_dp(wide, use_free=False, weighted=False)
 
 
-def test_free_count_refuses_a_non_square_determinant(monkeypatch):
+def test_free_count_refuses_a_pfaffian_past_its_bound(monkeypatch):
     half = left_half_free(build_region(RegionSpec(2, 1)))
     assert count_free(half) == 10
-    monkeypatch.setattr(tiler, "det_mod_sparse", lambda rows, prime: 99)
-    with pytest.raises(ArithmeticError):
+    # the largest symmetric residue, far past the bound of a 10-tiling half
+    monkeypatch.setattr(tiler, "pfaffian_mod_sparse", lambda rows, prime: prime // 2)
+    with pytest.raises(ArithmeticError, match="exceeds its bound"):
         count_free(half)
 
 
@@ -435,10 +436,10 @@ def _monomer_by_tuples(region):
 
 
 def _assembled(engine, region):
-    """The matrix an engine hands to its exact determinant, None if none."""
+    """The matrix an engine hands to its exact kernel, None if none."""
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tiler, "_exact_det", lambda rows: seen.append(rows) or 0)
+        mp.setattr(tiler, "_exact", lambda kernel, rows, bound: seen.append(rows) or 0)
         engine(region)
     return seen[0] if seen else None
 
