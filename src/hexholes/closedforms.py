@@ -3,19 +3,31 @@
 A hexagon with four sides n and two sides 2m tiles like plane partitions in
 a 2m x n x n box, so the three box counts below pin the tiler externally:
 the total count (MacMahon), the symmetric count (Andrews), and the
-transpose-complementary count (Proctor).  All products are evaluated over
-exact rationals and asserted integral; nothing is rounded.
+transpose-complementary count (Proctor).  Each product of fractions is
+evaluated as one integer division of the numerators' product by the
+denominators', which must leave no remainder; nothing is rounded.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
+from math import prod
 
 
-def _exact_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{what} did not reduce to an integer: {value}")
-    return int(value)
+def _exact_quotient(factors: list[tuple[int, int]], what: str) -> int:
+    """prod(p) / prod(q) over the (p, q) factors, which must be an integer.
+    Each integer enters once, with its exponent net of cancellation, so
+    that the two products stay small."""
+    exponents: Counter[int] = Counter()
+    for p, q in factors:
+        exponents[p] += 1
+        exponents[q] -= 1
+    numerator = prod(p**e for p, e in exponents.items() if e > 0)
+    denominator = prod(q**-e for q, e in exponents.items() if e < 0)
+    value, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"{what} did not reduce to an integer")
+    return value
 
 
 def box_tilings(a: int, b: int, c: int) -> int:
@@ -23,12 +35,13 @@ def box_tilings(a: int, b: int, c: int) -> int:
     prod (i+j+k-1)/(i+j+k-2) over the box."""
     if a < 0 or b < 0 or c < 0:
         raise ValueError("box dimensions must be non-negative")
-    value = Fraction(1)
-    for i in range(1, a + 1):
-        for j in range(1, b + 1):
-            for k in range(1, c + 1):
-                value *= Fraction(i + j + k - 1, i + j + k - 2)
-    return _exact_int(value, f"box_tilings{(a, b, c)}")
+    factors = [
+        (i + j + k - 1, i + j + k - 2)
+        for i in range(1, a + 1)
+        for j in range(1, b + 1)
+        for k in range(1, c + 1)
+    ]
+    return _exact_quotient(factors, f"box_tilings{(a, b, c)}")
 
 
 def symmetric_box_tilings(r: int, c: int) -> int:
@@ -36,13 +49,9 @@ def symmetric_box_tilings(r: int, c: int) -> int:
     prod_i (2i+c-1)/(2i-1) * prod_{i<j} (i+j+c-1)/(i+j-1)."""
     if r < 0 or c < 0:
         raise ValueError("box dimensions must be non-negative")
-    value = Fraction(1)
-    for i in range(1, r + 1):
-        value *= Fraction(2 * i + c - 1, 2 * i - 1)
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            value *= Fraction(i + j + c - 1, i + j - 1)
-    return _exact_int(value, f"symmetric_box_tilings{(r, c)}")
+    factors = [(2 * i + c - 1, 2 * i - 1) for i in range(1, r + 1)]
+    factors += [(i + j + c - 1, i + j - 1) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    return _exact_quotient(factors, f"symmetric_box_tilings{(r, c)}")
 
 
 def transpose_complement_box_tilings(a: int, b: int) -> int:
@@ -50,9 +59,5 @@ def transpose_complement_box_tilings(a: int, b: int) -> int:
     (Proctor): prod_{1 <= i <= j <= b-1} (2a+i+j)/(i+j)."""
     if a < 0 or b < 0:
         raise ValueError("box dimensions must be non-negative")
-    value = Fraction(1)
-    for i in range(1, b):
-        for j in range(i, b):
-            value *= Fraction(2 * a + i + j, i + j)
-    return _exact_int(value, f"transpose_complement_box_tilings{(a, b)}")
-
+    factors = [(2 * a + i + j, i + j) for i in range(1, b) for j in range(i, b)]
+    return _exact_quotient(factors, f"transpose_complement_box_tilings{(a, b)}")

@@ -1,14 +1,15 @@
-"""Exact integer linear algebra for small dense matrices with symbolic labels.
+"""Exact integer linear algebra for matrices with symbolic labels.
 
 Everything runs on Python's arbitrary-precision integers; nothing is ever
-rounded.  Determinants use fraction-free (Bareiss) elimination so that all
-intermediate values stay integral, and Pfaffians an exact-rational skew
-elimination.  Large sparse matrices are eliminated modulo a prime instead,
-for the determinant (`det_mod_sparse`) and for the Pfaffian of a skew
-matrix (`pfaffian_mod_sparse`), which is exact once the caller picks a
-prime above twice a bound on the value (`modulus_above`).  The slow routes
-the tests compare these against, the perfect-matching Pfaffian and the
-cofactor determinant, are in `tests/oracles.py`.
+rounded.  There is one determinant kernel, `det_mod_sparse`, and one
+Pfaffian kernel, `pfaffian_mod_sparse`: each eliminates a sparse matrix
+modulo a prime.  `exact` turns either into an integer: it runs the kernel
+modulo the smallest prime of `KASTELEYN_PRIMES` above twice a bound on the
+value (Hadamard's, `hadamard_bound`) and reads back the symmetric residue.
+`determinant` and `pfaffian_elimination` are that route for a
+`LabeledMatrix`.  The slow routes the tests compare these against, the
+perfect-matching Pfaffian and the cofactor determinant, are in
+`tests/oracles.py`.
 
 Matrices carry explicit row/column labels (any hashable values) so callers
 can address entries by the same index sets that define them.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 Label = Hashable
@@ -29,6 +29,11 @@ KASTELEYN_PRIMES = tuple(
     2**e - 1
     for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213)
 )
+
+
+class CapExceeded(RuntimeError):
+    """A size cap stopped a count or an oracle: the input is too large for
+    the current caps, which says nothing about any identity."""
 
 
 def binomial(n: int, k: int) -> int:
@@ -162,77 +167,35 @@ def _require_even_skew(a: LabeledMatrix, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Pfaffians
-
-
-def pfaffian_elimination(a: LabeledMatrix) -> int:
-    """Pfaffian by exact-rational skew elimination.
-
-    Works over Fractions and asserts integrality of the result, which is
-    guaranteed for integer input.
-    """
-    _require_even_skew(a, "pfaffian_elimination")
-    n = a.order
-    m = [[Fraction(v) for v in row] for row in a.rows]
-    result = Fraction(1)
-    while n:
-        pivot_col = next((j for j in range(1, n) if m[0][j]), None)
-        if pivot_col is None:
-            return 0
-        if pivot_col != 1:
-            # swap row/col pivot_col <-> 1; a transposition flips the sign
-            m[1], m[pivot_col] = m[pivot_col], m[1]
-            for row in m:
-                row[1], row[pivot_col] = row[pivot_col], row[1]
-            result = -result
-        pivot = m[0][1]
-        for i in range(2, n):
-            mu = m[0][i] / pivot
-            if mu:
-                for r in range(n):
-                    m[r][i] -= mu * m[r][1]
-                for c in range(n):
-                    m[i][c] -= mu * m[1][c]
-        result *= pivot
-        m = [row[2:] for row in m[2:]]
-        n -= 2
-    if result.denominator != 1:
-        raise ArithmeticError(f"pfaffian elimination lost exactness: {result}")
-    return int(result)
-
-
-# ---------------------------------------------------------------------------
-# determinants
+# exact values
 
 
 def determinant(a: LabeledMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination; first
-    nonzero pivot in row order."""
+    """Exact determinant, rows and columns in label order."""
     if a.nrows != a.ncols:
         raise ValueError("determinant needs a square matrix")
-    n = a.nrows
-    if n == 0:
-        return 1
-    rows = [row[:] for row in a.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("Bareiss division was not exact")
-                rows[i][j] = q
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * rows[n - 1][n - 1]
+    rows = _nonzero_entries(a)
+    return exact(det_mod_sparse, rows, hadamard_bound(rows))
+
+
+def pfaffian_elimination(a: LabeledMatrix) -> int:
+    """Exact Pfaffian of a skew-symmetric matrix of even order, rows and
+    columns in label order.  Pf(A)^2 = det A bounds it by the square root
+    of the determinant's bound."""
+    _require_even_skew(a, "pfaffian_elimination")
+    rows = _nonzero_entries(a)
+    return exact(pfaffian_mod_sparse, rows, math.isqrt(hadamard_bound(rows)))
+
+
+def _nonzero_entries(a: LabeledMatrix) -> list[dict[int, int]]:
+    return [{c: v for c, v in enumerate(row) if v} for row in a.rows]
+
+
+def hadamard_bound(rows: Sequence[Mapping[int, int]]) -> int:
+    """Hadamard's bound on |det| of the matrix whose r-th row maps column ->
+    entry: the integer square root of the product of the rows' squared
+    norms."""
+    return math.isqrt(math.prod(sum(v * v for v in row.values()) for row in rows))
 
 
 def modulus_above(bound: int) -> int | None:
@@ -240,6 +203,36 @@ def modulus_above(bound: int) -> int | None:
     there is none: the least modulus whose symmetric residue recovers every
     integer of absolute value at most bound."""
     return next((q for q in KASTELEYN_PRIMES if q > 2 * bound), None)
+
+
+def exact(
+    kernel: Callable[[Sequence[Mapping[int, int]], int], int],
+    rows: Sequence[Mapping[int, int]],
+    bound: int,
+) -> int:
+    """The integer whose residue kernel(rows, prime) is, given a bound on its
+    absolute value: kernel runs modulo modulus_above(bound), and the
+    symmetric residue is read back.
+
+    Raises CapExceeded when no prime of KASTELEYN_PRIMES is large enough,
+    and ArithmeticError when the value read back exceeds the bound, which
+    only a wrong bound or a faulty kernel can cause."""
+    prime = modulus_above(bound)
+    if prime is None:
+        raise CapExceeded(
+            f"the bound of {bound.bit_length()} bits outgrows the "
+            f"largest modulus (2^{KASTELEYN_PRIMES[-1].bit_length()}-1)"
+        )
+    value = kernel(rows, prime)
+    if value > prime // 2:
+        value -= prime
+    if abs(value) > bound:
+        raise ArithmeticError(f"{kernel.__name__} read back {value}, which exceeds its bound {bound}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# modular kernels
 
 
 def det_mod_sparse(rows: Sequence[Mapping[int, int]], prime: int) -> int:
@@ -284,16 +277,7 @@ def det_mod_sparse(rows: Sequence[Mapping[int, int]], prime: int) -> int:
                     holders[cc].discard(s)
         pivot_rows.append(r)
     # the pivots sit on the diagonal once row pivot_rows[c] moves to row c
-    seen = [False] * n
-    odd = False
-    for start in range(n):
-        c, length = start, 0
-        while not seen[c]:
-            seen[c] = True
-            c = pivot_rows[c]
-            length += 1
-        odd ^= length > 0 and length % 2 == 0  # a cycle of length L is L - 1 swaps
-    return (prime - det) % prime if odd else det
+    return _signed(det, pivot_rows, prime)
 
 
 def pfaffian_mod_sparse(rows: Sequence[Mapping[int, int]], prime: int) -> int:
@@ -320,7 +304,7 @@ def pfaffian_mod_sparse(rows: Sequence[Mapping[int, int]], prime: int) -> int:
         raise ValueError("pfaffian_mod_sparse needs a skew-symmetric matrix")
     pf = 1
     paired = [False] * n
-    order = []  # r_1, c_1, r_2, c_2, ...: row k of the eliminated matrix is row order[k]
+    order = []  # r_1, c_1, r_2, c_2, ...
     for r in range(n):
         if paired[r]:
             continue
@@ -359,14 +343,20 @@ def pfaffian_mod_sparse(rows: Sequence[Mapping[int, int]], prime: int) -> int:
                 elif j in row:
                     del row[j]
                     del rows[j][i]
-    # the sign of the permutation that takes position k to row order[k]
-    seen = [False] * n
+    # row k of the eliminated matrix is row order[k]
+    return _signed(pf, order, prime)
+
+
+def _signed(value: int, permutation: Sequence[int], prime: int) -> int:
+    """value, negated modulo prime when the permutation (k -> permutation[k])
+    is odd."""
+    seen = [False] * len(permutation)
     odd = False
-    for start in range(n):
+    for start in range(len(permutation)):
         k, length = start, 0
         while not seen[k]:
             seen[k] = True
-            k = order[k]
+            k = permutation[k]
             length += 1
         odd ^= length > 0 and length % 2 == 0  # a cycle of length L is L - 1 swaps
-    return (prime - pf) % prime if odd else pf
+    return (prime - value) % prime if odd else value

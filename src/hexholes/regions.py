@@ -30,13 +30,9 @@ import math
 from typing import Callable, Iterable, NamedTuple
 
 from . import intlinalg
+from .intlinalg import CapExceeded
 
 Triangle = tuple[int, int]
-
-
-class CapExceeded(RuntimeError):
-    """A size cap stopped a count or an oracle: the input is too large for
-    the current caps, which says nothing about any identity."""
 
 
 class _SpecFields(NamedTuple):
@@ -203,7 +199,8 @@ class Region(NamedTuple):
     # -- axis structure ----------------------------------------------------------
 
     def axis_positions(self) -> list[tuple[Triangle, Triangle]]:
-        """Surviving lozenge positions on the hole axis, as (up, down) pairs."""
+        """Surviving lozenge positions on the hole axis, as (up, down) pairs.
+        Raises ValueError on a position with only one of its triangles."""
         out = []
         for j in range(1, self.side + 1):
             up = (2 * j - 2, self.center(2 * j - 2))
@@ -211,7 +208,7 @@ class Region(NamedTuple):
             if up in self.triangles and down in self.triangles:
                 out.append((up, down))
             elif (up in self.triangles) != (down in self.triangles):
-                raise AssertionError(f"half-removed axis position {j}")
+                raise ValueError(f"half-removed axis position {j}")
         return out
 
 

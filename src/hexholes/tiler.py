@@ -4,9 +4,10 @@ Two kinds of engine, on arbitrary-precision integers:
 
 * Kasteleyn matrices, eliminated modulo the smallest prime of
   `intlinalg.KASTELEYN_PRIMES` above twice a bound on the value taken,
-  which is exact.  A tiling is a perfect matching between the region's up
-  and down triangles, so with K the up/down adjacency matrix, rows and
-  columns in row-major order and signed by `_defect_line`:
+  which `intlinalg.exact` reads back exactly.  A tiling is a perfect
+  matching between the region's up and down triangles, so with K the
+  up/down adjacency matrix, rows and columns in row-major order and
+  signed by `_defect_line`:
   - `count_plain` is |det K|, by `intlinalg.det_mod_sparse` under K's
     Hadamard bound;
   - `count_weighted2` is |det K| with entry 2 on each horizontal edge of a
@@ -59,8 +60,7 @@ import re
 from itertools import accumulate, combinations
 from typing import Iterator, NamedTuple, Sequence
 
-from . import intlinalg
-from .intlinalg import det_mod_sparse, modulus_above, pfaffian_mod_sparse
+from .intlinalg import det_mod_sparse, exact, hadamard_bound, pfaffian_mod_sparse
 from .regions import (
     CapExceeded,
     Region,
@@ -339,26 +339,6 @@ def _up_edges(
     return edges
 
 
-def _square_norms(rows: list[dict[int, int]]) -> int:
-    """The product of the rows' squared norms: Hadamard's bound on |det|,
-    squared."""
-    return math.prod(sum(v * v for v in row.values()) for row in rows)
-
-
-def _exact(kernel, rows: list[dict[int, int]], bound: int) -> int:
-    """kernel(rows, prime) taken modulo the smallest prime above twice the
-    bound on its absolute value, and read back as the symmetric residue,
-    which is exact."""
-    prime = modulus_above(bound)
-    if prime is None:
-        raise CapExceeded(
-            f"the bound of {bound.bit_length()} bits outgrows the "
-            f"largest modulus (2^{intlinalg.KASTELEYN_PRIMES[-1].bit_length()}-1)"
-        )
-    value = kernel(rows, prime)
-    return value - prime if value > prime // 2 else value
-
-
 def _count_det(region: Region, weighted: bool) -> int:
     """|det K|, K with a row per up and a column per down triangle, both in
     row-major order, so it is banded: an up's vertical partner sits about
@@ -370,7 +350,7 @@ def _count_det(region: Region, weighted: bool) -> int:
     if 2 * len(edges) != len(frame.at):
         return 0
     rows = [row for _, row in edges]
-    return abs(_exact(det_mod_sparse, rows, math.isqrt(_square_norms(rows))))
+    return abs(exact(det_mod_sparse, rows, hadamard_bound(rows)))
 
 
 def count_plain(region: Region) -> int:
@@ -424,12 +404,8 @@ def count_free(region: Region) -> int:
         sign = -1 if (r + s) % 2 else 1
         rows[free[r]][free[s]] = sign
         rows[free[s]][free[r]] = -sign
-    # Pf(A)^2 = det A, and |det A| is at most isqrt of the product (Hadamard)
-    bound = math.isqrt(math.isqrt(_square_norms(rows)))
-    pf = abs(_exact(pfaffian_mod_sparse, rows, bound))
-    if pf > bound:
-        raise ArithmeticError(f"the boundary-monomer Pfaffian {pf} exceeds its bound {bound}")
-    return pf
+    # Pf(A)^2 = det A, so |Pf A| is at most the square root of Hadamard's bound
+    return abs(exact(pfaffian_mod_sparse, rows, math.isqrt(hadamard_bound(rows))))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ computes another way, kept slow and direct on purpose:
   width (`DP_WIDTH_CAP`).
 * `pfaffian_by_matchings`, the signed sum over perfect matchings
   (`perfect_matchings`, `matching_crossings`, `matching_sign`), checks
-  `intlinalg.pfaffian_elimination` and the reduction's Pfaffian = det
-  identity up to order `MATCHING_PFAFFIAN_MAX_ORDER`.
-* `det_cofactor`, the cofactor expansion, checks Bareiss
-  `intlinalg.determinant` without any division.
+  the Pfaffian kernel `intlinalg.pfaffian_mod_sparse`, through
+  `intlinalg.pfaffian_elimination` and directly, and the reduction's
+  Pfaffian = det identity up to order `MATCHING_PFAFFIAN_MAX_ORDER`.
+* `det_cofactor`, the cofactor expansion, checks the determinant kernel
+  `intlinalg.det_mod_sparse`, through `intlinalg.determinant` and
+  directly, without any division.
 * `reflectable_gf_dp`, a weighted lattice DP, checks the closed form
   `paths.reflectable_gf`.
 * `from_rows` builds a `LabeledMatrix` labelled by row and column index.
@@ -21,7 +23,7 @@ computes another way, kept slow and direct on purpose:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from hexholes.intlinalg import LabeledMatrix, _require_even_skew
 from hexholes.paths import Point
@@ -30,7 +32,7 @@ from hexholes.regions import CapExceeded, Region
 # widest frame row the profile DP sweeps: its states can double per cell
 DP_WIDTH_CAP = 64
 
-MATCHING_PFAFFIAN_MAX_ORDER = 10
+MATCHING_PFAFFIAN_MAX_ORDER = 14
 
 
 def from_rows(rows: Sequence[Sequence[int]]) -> LabeledMatrix:
@@ -107,8 +109,11 @@ def _profile_dp(region: Region, use_free: bool, weighted: bool) -> int:
 # perfect matchings
 
 
-def perfect_matchings(count: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect matchings of {0, .., count-1}, each as ordered pairs.
+def perfect_matchings(
+    count: int, edge: Callable[[int, int], bool] = lambda a, b: True
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """All perfect matchings of {0, .., count-1} whose pairs (a, b), a < b,
+    all satisfy edge(a, b), each as ordered pairs.
 
     The first free index is always matched first, so the iteration order is
     deterministic.
@@ -123,6 +128,8 @@ def perfect_matchings(count: int) -> Iterator[tuple[tuple[int, int], ...]]:
         a = remaining[0]
         for idx in range(1, len(remaining)):
             b = remaining[idx]
+            if not edge(a, b):
+                continue
             rest = remaining[1:idx] + remaining[idx + 1 :]
             for tail in rec(rest):
                 yield ((a, b),) + tail
@@ -144,11 +151,12 @@ def matching_sign(pairs: Sequence[tuple[int, int]]) -> int:
 
 
 def pfaffian_by_matchings(a: LabeledMatrix) -> int:
-    """Pfaffian as the signed sum over perfect matchings.
+    """Pfaffian as the signed sum over the perfect matchings whose entries
+    are all nonzero.
 
-    Exponential in the order, so it is capped at order 10; use
-    pfaffian_elimination beyond that.  This is the oracle the elimination
-    routine is tested against.
+    Exponential in the order, so it is capped at MATCHING_PFAFFIAN_MAX_ORDER;
+    use pfaffian_elimination beyond that.  This is the oracle the Pfaffian
+    kernel is tested against.
     """
     _require_even_skew(a, "pfaffian_by_matchings")
     n = a.order
@@ -156,13 +164,12 @@ def pfaffian_by_matchings(a: LabeledMatrix) -> int:
         raise ValueError(
             f"matching expansion capped at order {MATCHING_PFAFFIAN_MAX_ORDER}, got {n}"
         )
+    rows = a.rows
     total = 0
-    for pairs in perfect_matchings(n):
+    for pairs in perfect_matchings(n, lambda i, j: rows[i][j] != 0):
         term = matching_sign(pairs)
         for i, j in pairs:
-            term *= a.rows[i][j]
-            if term == 0:
-                break
+            term *= rows[i][j]
         total += term
     return total
 
@@ -173,7 +180,7 @@ def pfaffian_by_matchings(a: LabeledMatrix) -> int:
 
 def det_cofactor(rows: Sequence[Sequence[int]]) -> int:
     """Cofactor-expansion determinant; the tests' division-free oracle for
-    `determinant` on tiny orders."""
+    the determinant kernel on tiny orders."""
     n = len(rows)
     if n == 0:
         return 1

@@ -206,6 +206,15 @@ def test_exceeded_cap_exits_2(capsys):
     assert captured.out == json.dumps({"error": message, "pass": False}) + "\n"
 
 
+def test_a_pfaffian_past_the_largest_modulus_exits_2(capsys):
+    # the closed-form skew matrix at n=400 m=15 has a Pfaffian bound of
+    # 12,024 bits, so no prime of KASTELEYN_PRIMES recovers its value
+    code = main(["verify", "reduction-chain", "--grid", "n=400 m=15 l=0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: the bound of 12024 bits outgrows the largest modulus (2^11213-1)\n"
+
+
 def test_json_error_is_one_record(capsys):
     code = main(["count", "n=3", "m=1", "k=9", "--format", "json"])
     captured = capsys.readouterr()
@@ -346,8 +355,9 @@ def test_a_closed_pipe_ends_quietly_with_status_141():
 
 def test_start_up_loads_no_source_introspection():
     # dataclasses pulls in inspect, and inspect pulls in ast, dis and
-    # tokenize: about 10 ms of every command's start-up
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    # tokenize: about 10 ms of every command's start-up; fractions pulls in
+    # decimal, and the exact routes are integer-only
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hexholes.__file__))}
     code = f"import sys, hexholes.cli, hexholes.verify; print(*[m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)

@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from hexholes import intlinalg
 from hexholes.intlinalg import (
     KASTELEYN_PRIMES,
+    CapExceeded,
     LabeledMatrix,
     binomial,
     det_mod_sparse,
@@ -139,7 +141,7 @@ def test_determinant_matches_cofactor():
             assert determinant(from_rows(rows)) == det_cofactor(rows)
 
 
-def test_det_mod_sparse_matches_bareiss():
+def test_det_mod_sparse_matches_the_cofactor_expansion():
     # mostly-zero matrices, so pivots must be searched for; the small prime
     # also makes nonzero entries vanish during elimination
     rng = random.Random(23)
@@ -148,8 +150,33 @@ def test_det_mod_sparse_matches_bareiss():
             for _ in range(40):
                 rows = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
                 sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
-                expected = determinant(from_rows(rows)) if n else 1
-                assert det_mod_sparse(sparse, prime) == expected % prime
+                assert det_mod_sparse(sparse, prime) == det_cofactor(rows) % prime
+
+
+@pytest.mark.parametrize(
+    "exact_value, kernel, rows, value",
+    [
+        (determinant, "det_mod_sparse", [[2, 3], [4, 5]], -2),
+        (pfaffian_elimination, "pfaffian_mod_sparse", [[0, 5], [-5, 0]], 5),
+    ],
+)
+def test_exact_values_refuse_a_residue_past_their_bound(monkeypatch, exact_value, kernel, rows, value):
+    assert exact_value(from_rows(rows)) == value
+    # the largest symmetric residue, far past the Hadamard bound
+    monkeypatch.setattr(intlinalg, kernel, lambda rows, prime: prime // 2)
+    with pytest.raises(ArithmeticError, match="exceeds its bound"):
+        exact_value(from_rows(rows))
+
+
+def test_exact_values_past_the_largest_modulus_exceed_the_cap():
+    # bounds of 2^12000 and 2^11300: twice either is past 2^11213 - 1
+    with pytest.raises(CapExceeded, match="the bound of 12001 bits"):
+        determinant(from_rows([[2**6000, 0], [0, 2**6000]]))
+    big = 2**11300
+    with pytest.raises(CapExceeded, match="the bound of 11301 bits"):
+        pfaffian_elimination(from_rows([[0, big, 0, 0], [-big, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]))
+    # a bound of 2^11210 still fits the largest prime
+    assert determinant(from_rows([[2**5605, 0], [0, -(2**5605)]])) == -(2**11210)
 
 
 @st.composite
@@ -168,11 +195,10 @@ def sparse_skew(draw):
 
 
 @given(sparse_skew(), st.sampled_from(KASTELEYN_PRIMES))
-def test_pfaffian_mod_sparse_matches_the_dense_pfaffian(rows, prime):
+def test_pfaffian_mod_sparse_matches_the_matching_expansion(rows, prime):
     sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
     pf = pfaffian_mod_sparse(sparse, prime)
-    expected = pfaffian_elimination(from_rows(rows)) if rows else 1
-    assert pf == expected % prime  # the sign included
+    assert pf == pfaffian_by_matchings(from_rows(rows)) % prime  # the sign included
     assert pf * pf % prime == det_mod_sparse(sparse, prime)
 
 

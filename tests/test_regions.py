@@ -196,6 +196,16 @@ def test_upper_half_requires_symmetry():
         left_half_free(lopsided)
 
 
+def test_a_half_removed_axis_position_is_a_value_error():
+    # the up of axis position 1 and its reflect_v image, the down of
+    # position 2: fixed by both reflections, each position keeps one half
+    region = build_hexagon(2, 1)
+    holed = region._replace(triangles=region.triangles - {(0, 2), (3, 2)})
+    assert holed.is_symmetric(holed.reflect_h) and holed.is_symmetric(holed.reflect_v)
+    with pytest.raises(ValueError, match="half-removed axis position 1"):
+        lower_half_weighted(holed)
+
+
 def test_left_half_free_edges():
     region = build_region(RegionSpec(15, 5, (2, 5, 7)))
     half = left_half_free(region)

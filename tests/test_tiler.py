@@ -439,7 +439,7 @@ def _assembled(engine, region):
     """The matrix an engine hands to its exact kernel, None if none."""
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tiler, "_exact", lambda kernel, rows, bound: seen.append(rows) or 0)
+        mp.setattr(tiler, "exact", lambda kernel, rows, bound: seen.append(rows) or 0)
         engine(region)
     return seen[0] if seen else None
 
