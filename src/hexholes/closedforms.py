@@ -10,21 +10,12 @@ denominators', which must leave no remainder; nothing is rounded.
 
 from __future__ import annotations
 
-from collections import Counter
 from math import prod
 
 
 def _exact_quotient(factors: list[tuple[int, int]], what: str) -> int:
-    """prod(p) / prod(q) over the (p, q) factors, which must be an integer.
-    Each integer enters once, with its exponent net of cancellation, so
-    that the two products stay small."""
-    exponents: Counter[int] = Counter()
-    for p, q in factors:
-        exponents[p] += 1
-        exponents[q] -= 1
-    numerator = prod(p**e for p, e in exponents.items() if e > 0)
-    denominator = prod(q**-e for q, e in exponents.items() if e < 0)
-    value, remainder = divmod(numerator, denominator)
+    """prod(p) / prod(q) over the (p, q) factors, which must be an integer."""
+    value, remainder = divmod(prod(p for p, _ in factors), prod(q for _, q in factors))
     if remainder:
         raise ArithmeticError(f"{what} did not reduce to an integer")
     return value
