@@ -22,8 +22,8 @@ import sys
 import time
 from typing import Iterable
 
-from . import paths, tiler, verify
-from .regions import CapExceeded, RegionSpec, build_region, left_half_free, lower_half_weighted, upper_half
+from . import verify
+from .regions import CapExceeded, RegionSpec
 
 GRID_TOKEN = re.compile(r"(\w+)\s*(<=|=|in)\s*(\{[^{}]*\}|\S+)")
 
@@ -81,53 +81,41 @@ def emit(records: Iterable[dict], fmt: str) -> None:
 # count
 
 
+def _enumerated(j: int):
+    """Entry j of the chain's enumeration tally, where enumeration reaches."""
+    return lambda c, v: None if c.tally is None else c.tally[j] == v
+
+
+def _closed_form(check):
+    """A check by the paths' closed forms, which take no central rhombus."""
+    return lambda c, v: None if c.spec.central_x else check(c, v)
+
+
+_PFAFFIAN = _closed_form(lambda c, v: c.pfaffian == v)
+_WEIGHTED_SPLIT = _closed_form(lambda c, v: v * c.determinant == c.plain)  # M = M_h * W
+
+# class -> (its link of the chain, the engine behind that link, the routes
+# that cross-check it, tried in order until one reaches: each takes the
+# chain and the value and says whether they agree, or None where it cannot)
+COUNT_CLASSES = {
+    "full": ("plain", "kasteleyn-det", (_enumerated(0),)),
+    "hsym": ("upper_count", "half-region kasteleyn-det", (_enumerated(1), _WEIGHTED_SPLIT)),
+    "vsym": ("free", "half-region kasteleyn-pfaffian", (_enumerated(2), _PFAFFIAN)),
+    "free-left": ("free", "kasteleyn-pfaffian", (_PFAFFIAN,)),
+    "weighted-lower": ("weighted", "weighted kasteleyn-det", (_closed_form(lambda c, v: c.determinant == v),)),
+}
+
+
 def cmd_count(args) -> int:
     spec = RegionSpec.parse(" ".join(args.spec))
-    region = build_region(spec)
-    cls = args.cls
-    crosscheck = "skipped"
-    if cls == "full":
-        value = tiler.count_plain(region)
-        method = "kasteleyn-det"
-        if tiler.enumerable(region, value):
-            crosscheck = "ok" if tiler.count_via_enumeration(region) == value else "MISMATCH"
-    elif cls in ("hsym", "vsym"):
-        hsym = cls == "hsym"
-        value = tiler.count_plain(upper_half(region)) if hsym else tiler.count_free(left_half_free(region))
-        method = "half-region kasteleyn-det" if hsym else "half-region kasteleyn-pfaffian"
-        # the enumeration gate needs the plain count only within the
-        # triangle cap; M = M_h * W below needs it for a rhombus-free hsym
-        within_cap = len(region.triangles) <= tiler.TRIANGLE_CAP
-        weighted_split = hsym and not spec.central_x
-        plain = tiler.count_plain(region) if within_cap or weighted_split else None
-        if within_cap and tiler.enumerable(region, plain):
-            expected = tiler.symmetric_via_enumeration(region)[0 if hsym else 1]
-            crosscheck = "ok" if expected == value else "MISMATCH"
-        elif weighted_split:
-            # the weighted split M = M_h * W, with W from the LGV determinant
-            crosscheck = "ok" if value * paths.count_weighted2_via_det(spec) == plain else "MISMATCH"
-        elif not spec.central_x:
-            # the half is the free-left count, which the Pfaffian checks
-            crosscheck = "ok" if paths.count_free_via_pfaffian(spec) == value else "MISMATCH"
-    elif cls == "free-left":
-        value = tiler.count_free(left_half_free(region))
-        method = "kasteleyn-pfaffian"
-        if not spec.central_x:
-            crosscheck = (
-                "ok" if paths.count_free_via_pfaffian(spec) == value else "MISMATCH"
-            )
-    elif cls == "weighted-lower":
-        value = tiler.count_weighted2(lower_half_weighted(region))
-        method = "weighted kasteleyn-det"
-        if not spec.central_x:
-            crosscheck = (
-                "ok" if paths.count_weighted2_via_det(spec) == value else "MISMATCH"
-            )
-    else:
-        raise ValueError(f"unknown class {cls!r}")
+    link, method, routes = COUNT_CLASSES[args.cls]
+    chain = verify.Chain(spec)
+    value = getattr(chain, link)
+    verdict = next((v for v in (route(chain, value) for route in routes) if v is not None), None)
+    crosscheck = {None: "skipped", True: "ok", False: "MISMATCH"}[verdict]
     rec = {
         "spec": spec.text(),
-        "class": cls,
+        "class": args.cls,
         "value": str(value),
         "method": method,
         "crosscheck": crosscheck,
@@ -148,11 +136,12 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     names = list(verify.SUITES) if args.target == "all" else [args.target]
     passed: list[bool] = []
+    chains: dict = {}  # one run table for the command's suites, dropped with it
 
     def records():
         # a generator, so that each suite's records print as the suite ends
         for name in names:
-            for rec in verify.run_suite(name, grid=grid, trials=args.trials, seed=args.seed):
+            for rec in verify.run_suite(name, grid=grid, trials=args.trials, seed=args.seed, chains=chains):
                 passed.append(rec["pass"])
                 yield rec
 
@@ -184,11 +173,14 @@ def cmd_polycheck(args) -> int:
 
 def cmd_selftest(args) -> int:
     """One record per suite, printed once every suite has run; `--format
-    text` prints a table instead, a line as each suite ends, and a verdict."""
+    text` prints a table instead, a line as each suite ends, and a verdict.
+    The suites share one run table, so a suite's seconds count only the
+    links of the chains that no earlier suite filled."""
     summary = []
+    chains: dict = {}
     for name in verify.SUITES:
         started = time.perf_counter()
-        records = verify.run_suite(name)
+        records = verify.run_suite(name, chains=chains)
         seconds = time.perf_counter() - started
         bad = sum(1 for rec in records if not rec["pass"])
         summary.append(
@@ -223,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--class",
         dest="cls",
-        choices=("full", "hsym", "vsym", "free-left", "weighted-lower"),
+        choices=tuple(COUNT_CLASSES),
         default="full",
     )
     common(p)

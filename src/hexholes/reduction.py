@@ -214,21 +214,26 @@ def fold_transform(a: LabeledMatrix) -> LabeledMatrix:
     return _congruence(a, sources)
 
 
+def first_differing_entry(a: LabeledMatrix, b: LabeledMatrix) -> tuple | None:
+    """The (row label, column label) of a at the first entry, row by row,
+    where a and b differ; None when no entry they share does."""
+    for i, (row, other) in enumerate(zip(a.rows, b.rows)):
+        for j, (x, y) in enumerate(zip(row, other)):
+            if x != y:
+                return a.row_labels[i], a.col_labels[j]
+    return None
+
+
 def _first_bad_fold_entry(folded: LabeledMatrix, original: LabeledMatrix, m: int, l: int) -> tuple | None:
-    """The (row, column) labels of the first entry, in checking order, where
-    the folded matrix breaks its proven blocks: zero on (nonpositive,
+    """The (row, column) labels of the first entry, row by row, where the
+    folded matrix breaks its proven blocks: zero on (nonpositive,
     nonpositive) and (nonpositive, minus), the original on (nonpositive,
     plus).  None when it keeps them all."""
-    for i in range(-m + 1, 1):
-        for j in range(-m + 1, 1):
-            if folded.get(i, j) != 0:
-                return (i, j)
-        for t in range(1, l + 1):
-            if folded.get(i, minus_label(t)) != 0:
-                return (i, minus_label(t))
-            if folded.get(i, plus_label(t)) != original.get(i, plus_label(t)):
-                return (i, plus_label(t))
-    return None
+    rows, plus = int_labels(m)[:m], {plus_label(t) for t in range(1, l + 1)}
+    cols = rows + hole_labels(l)
+    proven = lambda r, c: original.get(r, c) if c in plus else 0
+    block = LabeledMatrix.build(rows, cols, folded.get)
+    return first_differing_entry(block, LabeledMatrix.build(rows, cols, proven))
 
 
 def reduced_matrix_direct(ss: StructuredSkew) -> LabeledMatrix:
@@ -265,15 +270,17 @@ def reduced_matrix_from_fold(folded: LabeledMatrix, m: int, l: int) -> LabeledMa
 
 class ReductionCertificate(NamedTuple):
     """One pass of the reduction over a matrix: the Pfaffian against the
-    signed determinant of the reduced block, the block itself (as both
-    routes built it) and the first entry where the folded matrix breaks
-    its proven blocks (None when it keeps them all)."""
+    signed determinant of the reduced block, the block itself (as built
+    from the structured data), the first entry where the block read out of
+    the fold differs from it, and the first entry where the folded matrix
+    breaks its proven blocks (each None when there is none)."""
 
     passed: bool
     pfaffian: int
     reduced_det: int
     sign: int
     reduced: LabeledMatrix
+    first_bad_reduced_entry: tuple | None
     first_bad_fold_entry: tuple | None
 
 
@@ -283,21 +290,21 @@ def verify_pfaffian_reduction(a: LabeledMatrix) -> ReductionCertificate:
     The hypotheses are checked and A is folded once.  The reduced block is
     built from the structured data and read out of the fold, and the two
     must agree: a mismatch means the fold or the rearrangement bookkeeping
-    is broken."""
+    is broken, and fails the certificate."""
     ss = check_hypotheses(a)
     folded = fold_transform(a)
     reduced = reduced_matrix_direct(ss)
-    if reduced.rows != reduced_matrix_from_fold(folded, ss.m, ss.l).rows:
-        raise AssertionError("direct and folded reduced blocks disagree")
+    bad_reduced = first_differing_entry(reduced, reduced_matrix_from_fold(folded, ss.m, ss.l))
     pf = pfaffian_elimination(a)
     det = determinant(reduced)
     sign = hole_sign(ss.l)
     return ReductionCertificate(
-        passed=(pf == sign * det),
+        passed=(pf == sign * det and bad_reduced is None),
         pfaffian=pf,
         reduced_det=det,
         sign=sign,
         reduced=reduced,
+        first_bad_reduced_entry=bad_reduced,
         first_bad_fold_entry=_first_bad_fold_entry(folded, a, ss.m, ss.l),
     )
 

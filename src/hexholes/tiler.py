@@ -21,8 +21,9 @@ Two kinds of engine, on arbitrary-precision integers:
   Each is polynomial in the region size, and each assembles its matrix
   from `_frame`, the region's frame laid out once per call as integers.
 * exhaustive backtracking enumeration (the oracles, capped): plain and
-  weighted counts, and both symmetry classes by definition, from one
-  enumeration that keeps the tilings each reflection fixes.
+  weighted counts, and the tilings with both symmetry classes by
+  definition, from one enumeration that keeps the tilings each reflection
+  fixes.
 
 A free up triangle may be left to a half lozenge, an unmatched vertex of
 the matching.  A is skew, on every triangle in row-major order plus a pad
@@ -58,7 +59,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import accumulate, combinations
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .intlinalg import det_mod_sparse, exact, hadamard_bound, pfaffian_mod_sparse
 from .regions import (
@@ -97,6 +98,8 @@ def enumerate_tilings(region: Region) -> Iterator[Tiling]:
         )
     triangles, free = region.triangles, region.free
     order = sorted(triangles)
+    # each up triangle's vertical partner, looked up once per region
+    below = {t: region.vertical_partner(t) for t in order if region.is_up(t)}
     covered: set[Triangle] = set()
     tiles: list[Tile] = []
     emitted = 0
@@ -122,8 +125,8 @@ def enumerate_tilings(region: Region) -> Iterator[Tiling]:
             tiles.pop()
             covered.discard(t)
             covered.discard(right)
-        if region.is_up(t):
-            v = region.vertical_partner(t)
+        if t in below:
+            v = below[t]
             if v is not None and v in triangles and v not in covered:
                 covered.add(t)
                 covered.add(v)
@@ -142,10 +145,11 @@ def enumerate_tilings(region: Region) -> Iterator[Tiling]:
     yield from extend(0)
 
 
-def enumerable(region: Region, count: int) -> bool:
-    """May a region with `count` tilings be enumerated as an oracle: at most
-    ENUM_LIMIT tilings and TRIANGLE_CAP triangles?"""
-    return count <= ENUM_LIMIT and len(region.triangles) <= TRIANGLE_CAP
+def enumerable(region: Region, count: Callable[[], int]) -> bool:
+    """May the region be enumerated as an oracle: at most TRIANGLE_CAP
+    triangles and ENUM_LIMIT tilings?  `count()` gives its tilings, and is
+    called only within the triangle cap, so no region past it is counted."""
+    return len(region.triangles) <= TRIANGLE_CAP and count() <= ENUM_LIMIT
 
 
 def count_via_enumeration(region: Region) -> int:
@@ -154,35 +158,38 @@ def count_via_enumeration(region: Region) -> int:
 
 def weighted2_via_enumeration(region: Region) -> int:
     """Sum over tilings of 2^(number of special positions not covered by
-    their own axis lozenge); the integer form of the half-weight count."""
-    total = 0
-    for tiling in enumerate_tilings(region):
-        weight = 1
-        for s in region.special:
-            axis_tile = tuple(sorted((s, region.vertical_partner(s))))
-            if axis_tile not in tiling:
-                weight *= 2
-        total += weight
-    return total
+    their own axis lozenge); the integer form of the half-weight count.
+    The axis lozenges are worked out once per region."""
+    axis_tiles = [tuple(sorted((s, region.vertical_partner(s)))) for s in region.special]
+    return sum(2 ** sum(tile not in tiling for tile in axis_tiles) for tiling in enumerate_tilings(region))
 
 
-def symmetric_via_enumeration(region: Region) -> tuple[int, int]:
-    """(tilings fixed by reflect_h, tilings fixed by reflect_v), by
+def symmetric_via_enumeration(region: Region) -> tuple[int, int, int]:
+    """(tilings, tilings fixed by reflect_h, tilings fixed by reflect_v), by
     definition, from one enumeration.
 
     A tiling is fixed when every tile's mirror image is one of its tiles; a
     reflection is an involution, so the image is then the whole tiling.
+    Each tile's two images are worked out once per region, on the first
+    tiling that holds it.
     """
     refs = (region.reflect_h, region.reflect_v)
     if not all(region.is_symmetric(ref) for ref in refs):
         raise ValueError("the symmetry oracle needs a region fixed by both reflections")
-    images = [{t: ref(t) for t in region.triangles} for ref in refs]
-    fixed = [0, 0]
+    mirrors: list[dict[Tile, Tile]] = [{}, {}]  # tile -> its image, per reflection
+    tilings, fixed = 0, [0, 0]
     for tiling in enumerate_tilings(region):
-        for j, image in enumerate(images):
-            if all(tuple(sorted(image[t] for t in tile)) in tiling for tile in tiling):
+        tilings += 1
+        for j, (ref, mirror) in enumerate(zip(refs, mirrors)):
+            for tile in tiling:
+                image = mirror.get(tile)
+                if image is None:
+                    image = mirror[tile] = tuple(sorted(map(ref, tile)))
+                if image not in tiling:
+                    break
+            else:
                 fixed[j] += 1
-    return fixed[0], fixed[1]
+    return tilings, fixed[0], fixed[1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,16 @@ Each suite checks one exact identity on a set of instances and returns one
 record per checked equation: spec text, both sides as decimal strings, the
 method that produced each side, and a pass flag.  The command line prints
 these records; the acceptance tests assert on them.  All comparisons are
-exact integer equality.
+exact integer equality.  The tiling suites read their counts from each
+spec's `Chain`, which computes every link of the identity chain once.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import closedforms, paths, reduction, tiler
 from .intlinalg import LabeledMatrix, pfaffian_elimination
@@ -39,25 +41,24 @@ def record(spec: str, identity: str, lhs: int, rhs: int, method_lhs: str, method
     }
 
 
+def _located_record(spec: str, identity: str, bad, method_lhs: str, method_rhs: str, what: str = "entry") -> dict:
+    """1 = 1 when nothing is bad; otherwise lhs is 0 and method_lhs names
+    the first bad entry (or subset)."""
+    if bad is None:
+        return record(spec, identity, 1, 1, method_lhs, method_rhs)
+    return record(spec, identity, 0, 1, f"{method_lhs}, first bad {what} {bad!r}", method_rhs)
+
+
 def _entries_record(
     spec: str, identity: str, lhs: LabeledMatrix, rhs: LabeledMatrix, method_lhs: str, method_rhs: str
 ) -> dict:
     """1 = 1 when the two matrices agree entry for entry; otherwise lhs is
     0 and method_lhs names the first differing entry, row by row, by the
     (row label, column label) of the lhs matrix."""
-    if lhs.rows == rhs.rows:
-        return record(spec, identity, 1, 1, method_lhs, method_rhs)
-    bad = next(
-        (
-            (lhs.row_labels[i], lhs.col_labels[j])
-            for i, (row, other) in enumerate(zip(lhs.rows, rhs.rows))
-            for j, (a, b) in enumerate(zip(row, other))
-            if a != b
-        ),
-        None,
-    )
-    where = "shapes differ" if bad is None else f"first bad entry {bad!r}"
-    return record(spec, identity, 0, 1, f"{method_lhs}, {where}", method_rhs)
+    bad = reduction.first_differing_entry(lhs, rhs)
+    if bad is None and lhs.rows != rhs.rows:
+        return record(spec, identity, 0, 1, f"{method_lhs}, shapes differ", method_rhs)
+    return _located_record(spec, identity, bad, method_lhs, method_rhs)
 
 
 def hole_lists(n: int, l: int) -> list[tuple[int, ...]]:
@@ -87,125 +88,138 @@ DEFAULT_GRID = dict(n_values=range(2, 7), m_values=(1, 2), l_values=(0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
+# the identity chain of one region
+
+
+def _oracle(enumeration: Callable[[Region], Any], region: Region, count: Callable[[], int]) -> Any:
+    """enumeration(region) where the enumeration oracle reaches, else None;
+    count() gives the region's tilings (see `tiler.enumerable`)."""
+    return enumeration(region) if tiler.enumerable(region, count) else None
+
+
+class Chain:
+    """The identity chain of one spec: the region, its halves, the tiler's
+    counts, the enumeration oracles and the paths' Pfaffian and
+    determinant, each computed on first use, at most once.  The links live
+    in the instance dict, the spec in a slot, so that the chains of two
+    specs naming one region can share their links (see `_chains`)."""
+
+    __slots__ = ("spec", "__dict__")
+
+    def __init__(self, spec: RegionSpec) -> None:
+        self.spec = spec
+
+    region = cached_property(lambda self: build_region(self.spec))
+    upper = cached_property(lambda self: upper_half(self.region))
+    free_half = cached_property(lambda self: left_half_free(self.region))
+    lower = cached_property(lambda self: lower_half_weighted(self.region))
+    plain = cached_property(lambda self: tiler.count_plain(self.region))
+    upper_count = cached_property(lambda self: tiler.count_plain(self.upper))
+    free = cached_property(lambda self: tiler.count_free(self.free_half))
+    weighted = cached_property(lambda self: tiler.count_weighted2(self.lower))
+    pfaffian = cached_property(lambda self: paths.count_free_via_pfaffian(self.spec))
+    determinant = cached_property(lambda self: paths.count_weighted2_via_det(self.spec))
+    # the enumeration oracles, each None past its reach: one tally of the
+    # region, (tilings, hsym, vsym), and the counts of its two halves
+    tally = cached_property(lambda self: _oracle(tiler.symmetric_via_enumeration, self.region, lambda: self.plain))
+    free_enumerated = cached_property(
+        lambda self: _oracle(tiler.count_via_enumeration, self.free_half, lambda: self.free)
+    )
+    weighted_enumerated = cached_property(
+        lambda self: _oracle(tiler.weighted2_via_enumeration, self.lower, lambda: tiler.count_plain(self.lower))
+    )
+
+    # the symmetry classes by definition where enumerable, else by the halves
+    hsym = property(lambda self: self.upper_count if self.tally is None else self.tally[1])
+    vsym = property(lambda self: self.free if self.tally is None else self.tally[2])
+
+
+def _chains(specs: Sequence[RegionSpec], chains: dict | None) -> Iterator[Chain]:
+    """Each spec's chain.  A run table maps every spec and every region to
+    the chain first made for it, and a new spec naming a known region (the
+    side-2 rhombus of n, m, k, x=2 is the hole pair n/2 + 1 of the hexagon
+    of side n + 2) shares that chain's links; the paths' links refuse a
+    rhombus spec, so none is computed from the wrong spec.  Without a
+    table, each spec gets a fresh chain, dropped after its loop step."""
+    for spec in specs:
+        chain = Chain(spec) if chains is None else chains.get(spec)
+        if chain is None:
+            chain = chains[spec] = Chain(spec)
+            chain.__dict__ = chains.setdefault(chain.region, chain).__dict__
+        yield chain
+
+
+# ---------------------------------------------------------------------------
 # tiling-level identities
 
 
-def _symmetry_classes(region: Region, plain: int) -> tuple[int, int]:
-    """(hsym, vsym) of a region with `plain` tilings: by definition where
-    it is enumerable, else by the half-region engines."""
-    if tiler.enumerable(region, plain):
-        return tiler.symmetric_via_enumeration(region)
-    return tiler.count_plain(upper_half(region)), tiler.count_free(left_half_free(region))
-
-
-def _factorization(specs: Sequence[RegionSpec], identity: str) -> list[dict]:
+def _factorization(specs: Sequence[RegionSpec], identity: str, chains: dict | None) -> list[dict]:
     """plain = hsym * vsym per spec, recorded under the given identity."""
-    out = []
-    for spec in specs:
-        region = build_region(spec)
-        total = tiler.count_plain(region)
-        hs, vs = _symmetry_classes(region, total)
-        out.append(record(spec.text(), identity, total, hs * vs, "kasteleyn-det", "hsym*vsym"))
-    return out
+    return [
+        record(c.spec.text(), identity, c.plain, c.hsym * c.vsym, "kasteleyn-det", "hsym*vsym")
+        for c in _chains(specs, chains)
+    ]
 
 
-def check_factorization(specs: Sequence[RegionSpec]) -> list[dict]:
+def check_factorization(specs: Sequence[RegionSpec], chains: dict | None = None) -> list[dict]:
     """plain = hsym * vsym, all three by the tiler."""
-    return _factorization(specs, "factorization")
+    return _factorization(specs, "factorization", chains)
 
 
-def check_rhombus_factorization(specs: Sequence[RegionSpec]) -> list[dict]:
+def check_rhombus_factorization(specs: Sequence[RegionSpec], chains: dict | None = None) -> list[dict]:
     """The factorization on regions with a central rhombus hole."""
-    return _factorization(specs, "rhombus-factorization")
+    return _factorization(specs, "rhombus-factorization", chains)
 
 
-def check_halves(specs: Sequence[RegionSpec]) -> list[dict]:
+def check_halves(specs: Sequence[RegionSpec], chains: dict | None = None) -> list[dict]:
     """The two cut equivalences, tested by definition (enumeration filter)
     against the half-region counts, on every instance small enough to
     enumerate."""
     out = []
-    for spec in specs:
-        region = build_region(spec)
-        if not tiler.enumerable(region, tiler.count_plain(region)):
+    for c in _chains(specs, chains):
+        if c.tally is None:
             continue
-        hs, vs = tiler.symmetric_via_enumeration(region)
-        upper = tiler.count_plain(upper_half(region))
-        free = tiler.count_free(left_half_free(region))
-        out.append(record(spec.text(), "sym-eq-upper-half", hs, upper, "enumeration-filter", "kasteleyn-det"))
-        out.append(record(spec.text(), "sym-eq-free-half", vs, free, "enumeration-filter", "kasteleyn-pfaffian"))
+        s = c.spec.text()
+        out.append(record(s, "sym-eq-upper-half", c.tally[1], c.upper_count, "enumeration-filter", "kasteleyn-det"))
+        out.append(record(s, "sym-eq-free-half", c.tally[2], c.free, "enumeration-filter", "kasteleyn-pfaffian"))
     return out
 
 
-def check_weighted_split(specs: Sequence[RegionSpec]) -> list[dict]:
+def check_weighted_split(specs: Sequence[RegionSpec], chains: dict | None = None) -> list[dict]:
     """plain = upper-half * free-half and plain = upper-half * weighted-lower
     (the integer form absorbing the power of two)."""
     out = []
-    for spec in specs:
-        region = build_region(spec)
-        total = tiler.count_plain(region)
-        upper = tiler.count_plain(upper_half(region))
-        free = tiler.count_free(left_half_free(region))
-        w2 = tiler.count_weighted2(lower_half_weighted(region))
-        out.append(
-            record(spec.text(), "split-free", total, upper * free, "kasteleyn-det", "upper*free")
-        )
-        out.append(
-            record(spec.text(), "split-weighted", total, upper * w2, "kasteleyn-det", "upper*weighted2")
-        )
+    for c in _chains(specs, chains):
+        s = c.spec.text()
+        out.append(record(s, "split-free", c.plain, c.upper_count * c.free, "kasteleyn-det", "upper*free"))
+        out.append(record(s, "split-weighted", c.plain, c.upper_count * c.weighted, "kasteleyn-det", "upper*weighted2"))
     return out
 
 
-def check_pfaffian_determinant(specs: Sequence[RegionSpec]) -> list[dict]:
+def check_pfaffian_determinant(specs: Sequence[RegionSpec], chains: dict | None = None) -> list[dict]:
     """The analytic core: signed Pfaffian = determinant, and each equals the
     corresponding tiler count."""
     out = []
-    for spec in specs:
-        if spec.central_x:
-            continue
-        region = build_region(spec)
-        pf = paths.count_free_via_pfaffian(spec)
-        det = paths.count_weighted2_via_det(spec)
-        free = tiler.count_free(left_half_free(region))
-        w2 = tiler.count_weighted2(lower_half_weighted(region))
-        s = spec.text()
-        out.append(record(s, "pfaffian-eq-det", pf, det, "signed-pfaffian", "determinant"))
-        out.append(record(s, "pfaffian-eq-tiler", pf, free, "signed-pfaffian", "kasteleyn-pfaffian"))
-        out.append(record(s, "det-eq-tiler", det, w2, "determinant", "weighted kasteleyn-det"))
+    for c in _chains([spec for spec in specs if not spec.central_x], chains):
+        s = c.spec.text()
+        out.append(record(s, "pfaffian-eq-det", c.pfaffian, c.determinant, "signed-pfaffian", "determinant"))
+        out.append(record(s, "pfaffian-eq-tiler", c.pfaffian, c.free, "signed-pfaffian", "kasteleyn-pfaffian"))
+        out.append(record(s, "det-eq-tiler", c.determinant, c.weighted, "determinant", "weighted kasteleyn-det"))
     return out
 
 
-def check_axis_split(specs: Sequence[RegionSpec]) -> list[dict]:
+def check_axis_split(specs: Sequence[RegionSpec], chains: dict | None = None) -> list[dict]:
     """Per-subset split along the perpendicular axis: the squared counts sum
     to the plain count, the counts sum to the symmetric count, and each
     one-sided count matches its binomial determinant."""
     out = []
-    for spec in specs:
-        region = build_region(spec)
-        plain = tiler.count_plain(region)
+    for c in _chains(specs, chains):
+        spec, s = c.spec, c.spec.text()
         table = tiler.split_by_axis(spec)
-        s = spec.text()
-        out.append(
-            record(
-                s,
-                "axis-split-squares",
-                sum(c * c for _, c in table),
-                plain,
-                "sum of squared piece counts",
-                "kasteleyn-det",
-            )
-        )
-        out.append(
-            record(
-                s,
-                "axis-split-sum",
-                sum(c for _, c in table),
-                _symmetry_classes(region, plain)[1],
-                "sum of piece counts",
-                "vsym",
-            )
-        )
-        positions = tiler.axis_cut_positions(region)
-        rank_of = {p: r for r, p in enumerate(positions)}
+        squares = sum(n * n for _, n in table)
+        out.append(record(s, "axis-split-squares", squares, c.plain, "sum of squared piece counts", "kasteleyn-det"))
+        out.append(record(s, "axis-split-sum", sum(n for _, n in table), c.vsym, "sum of piece counts", "vsym"))
+        rank_of = {p: r for r, p in enumerate(tiler.axis_cut_positions(c.region))}
         bad = next(
             (
                 chosen
@@ -214,10 +228,7 @@ def check_axis_split(specs: Sequence[RegionSpec]) -> list[dict]:
             ),
             None,
         )
-        method = "piece determinants" if bad is None else f"piece determinants, first bad subset {bad!r}"
-        out.append(
-            record(s, "axis-split-determinants", int(bad is None), 1, method, "tiler piece counts")
-        )
+        out.append(_located_record(s, "axis-split-determinants", bad, "piece determinants", "tiler piece counts", "subset"))
     return out
 
 
@@ -305,7 +316,12 @@ def check_lgv_matrix(specs: Sequence[RegionSpec]) -> list[dict]:
 
 
 def _certificate_record(spec: str, identity: str, cert: reduction.ReductionCertificate) -> dict:
-    """The certificate's Pfaffian against its signed reduced determinant."""
+    """The certificate's Pfaffian against its signed reduced determinant;
+    0 = 1, naming the first differing entry, when the reduced block read out
+    of the fold differs from the one built from the structured data."""
+    bad = cert.first_bad_reduced_entry
+    if bad is not None:
+        return _located_record(spec, identity, bad, "pfaffian, reduced blocks differ", "sign*det(reduced)")
     return record(spec, identity, cert.pfaffian, cert.sign * cert.reduced_det, "pfaffian", "sign*det(reduced)")
 
 
@@ -322,9 +338,7 @@ def check_reduction(trials: int = 200, seed: int = 7, m_max: int = 4, l_max: int
         cert = reduction.verify_pfaffian_reduction(a)
         name = f"random m={m} l={l} trial={trial}"
         out.append(_certificate_record(name, "reduction-certificate", cert))
-        bad = cert.first_bad_fold_entry
-        where = "" if bad is None else f", first bad entry {bad!r}"
-        out.append(record(name, "fold-zero-blocks", int(bad is None), 1, f"folded matrix{where}", "expected"))
+        out.append(_located_record(name, "fold-zero-blocks", cert.first_bad_fold_entry, "folded matrix", "expected"))
     return out
 
 
@@ -359,27 +373,23 @@ def check_reduction_chain(specs: Sequence[RegionSpec]) -> list[dict]:
 # closed forms
 
 
-def check_box_product() -> list[dict]:
+def check_box_product(chains: dict | None = None) -> list[dict]:
     """Total = transpose-complementary * symmetric for the 2a x b x b box:
     by formulas for a, b <= 3, and against all three tiler counts for
-    a, b <= 2."""
+    a, b <= 2, on the chain of the hexagon RegionSpec(b, a)."""
     out = []
     for a in range(1, 4):
         for b in range(1, 4):
+            s = f"box 2a={2*a} b={b}"
             n1 = closedforms.box_tilings(2 * a, b, b)
             n6 = closedforms.transpose_complement_box_tilings(a, b)
             n2 = closedforms.symmetric_box_tilings(b, 2 * a)
-            out.append(
-                record(f"box 2a={2*a} b={b}", "box-product", n1, n6 * n2, "total formula", "tc*sym formulas")
-            )
+            out.append(record(s, "box-product", n1, n6 * n2, "total formula", "tc*sym formulas"))
             if a <= 2 and b <= 2:
-                region = build_hexagon(b, a)
-                s = f"box 2a={2*a} b={b}"
-                plain = tiler.count_plain(region)
-                hs, vs = _symmetry_classes(region, plain)
-                out.append(record(s, "box-total-eq-tiler", n1, plain, "formula", "kasteleyn-det"))
-                out.append(record(s, "box-sym-eq-tiler", n2, vs, "formula", "tiler vsym"))
-                out.append(record(s, "box-tc-eq-tiler", n6, hs, "formula", "tiler hsym"))
+                (c,) = _chains([RegionSpec(b, a)], chains)
+                out.append(record(s, "box-total-eq-tiler", n1, c.plain, "formula", "kasteleyn-det"))
+                out.append(record(s, "box-sym-eq-tiler", n2, c.vsym, "formula", "tiler vsym"))
+                out.append(record(s, "box-tc-eq-tiler", n6, c.hsym, "formula", "tiler hsym"))
     return out
 
 
@@ -387,46 +397,23 @@ def check_box_product() -> list[dict]:
 # oracle coherence and polynomial profile
 
 
-def check_oracles(specs: Sequence[RegionSpec]) -> list[dict]:
+def check_oracles(specs: Sequence[RegionSpec], chains: dict | None = None) -> list[dict]:
     """The counting engines against exhaustive enumeration wherever
     enumeration is feasible: the Kasteleyn determinant on the full region,
     the boundary-monomer Pfaffian and the weighted determinant on its free
     and weighted halves."""
     out = []
-    for spec in specs:
-        region = build_region(spec)
-        plain = tiler.count_plain(region)
-        s = spec.text()
-        if tiler.enumerable(region, plain):
+    for c in _chains(specs, chains):
+        s = c.spec.text()
+        if c.tally is not None:
+            out.append(record(s, "dp-eq-enumeration", c.plain, c.tally[0], "kasteleyn-det", "enumeration"))
+        if c.free_enumerated is not None:
             out.append(
-                record(s, "dp-eq-enumeration", plain, tiler.count_via_enumeration(region), "kasteleyn-det", "enumeration")
+                record(s, "dp-eq-enumeration-free", c.free, c.free_enumerated, "kasteleyn-pfaffian", "enumeration")
             )
-        half = left_half_free(region)
-        dp_free = tiler.count_free(half)
-        if tiler.enumerable(half, dp_free):
-            out.append(
-                record(
-                    s,
-                    "dp-eq-enumeration-free",
-                    dp_free,
-                    tiler.count_via_enumeration(half),
-                    "kasteleyn-pfaffian",
-                    "enumeration",
-                )
-            )
-        lower = lower_half_weighted(region)
-        dp_w2 = tiler.count_weighted2(lower)
-        if tiler.enumerable(lower, tiler.count_plain(lower)):
-            out.append(
-                record(
-                    s,
-                    "dp-eq-enumeration-weighted",
-                    dp_w2,
-                    tiler.weighted2_via_enumeration(lower),
-                    "weighted kasteleyn-det",
-                    "enumeration",
-                )
-            )
+        if c.weighted_enumerated is not None:
+            w2 = c.weighted_enumerated
+            out.append(record(s, "dp-eq-enumeration-weighted", c.weighted, w2, "weighted kasteleyn-det", "enumeration"))
     return out
 
 
@@ -487,34 +474,38 @@ def _specs(grid: dict, **fallback) -> list[RegionSpec]:
     return iter_specs(**{**DEFAULT_GRID, **fallback, **grid})
 
 
-# Suite name -> runner(grid, trials, seed), in `verify all` order.  The
-# runners look each check_* function up when called, so a check rebound
-# on this module (as by a tracer) is the one that runs.
+# Suite name -> runner(grid, trials, seed, chains), in `verify all` order.
+# The runners look each check_* function up when called, so a check
+# rebound on this module (as by a tracer) is the one that runs.
 SUITES = {
-    "factorization": lambda grid, trials, seed: check_factorization(_specs(grid)),
-    "halves": lambda grid, trials, seed: check_halves(_specs(grid)),
-    "weighted-split": lambda grid, trials, seed: check_weighted_split(_specs(grid)),
-    "pfaffian-determinant": lambda grid, trials, seed: check_pfaffian_determinant(_specs(grid)),
-    "skew-matrix": lambda grid, trials, seed: check_skew_matrix(_specs(grid)),
-    "lgv-matrix": lambda grid, trials, seed: check_lgv_matrix(_specs(grid)),
-    "reduction": lambda grid, trials, seed: check_reduction(trials=trials, seed=seed),
-    "reduction-chain": lambda grid, trials, seed: check_reduction_chain(_specs(grid)),
-    "rhombus-factorization": lambda grid, trials, seed: check_rhombus_factorization(
-        _specs(grid, **RHOMBUS_BOUNDS)
+    "factorization": lambda grid, trials, seed, chains: check_factorization(_specs(grid), chains),
+    "halves": lambda grid, trials, seed, chains: check_halves(_specs(grid), chains),
+    "weighted-split": lambda grid, trials, seed, chains: check_weighted_split(_specs(grid), chains),
+    "pfaffian-determinant": lambda grid, trials, seed, chains: check_pfaffian_determinant(_specs(grid), chains),
+    "skew-matrix": lambda grid, trials, seed, chains: check_skew_matrix(_specs(grid)),
+    "lgv-matrix": lambda grid, trials, seed, chains: check_lgv_matrix(_specs(grid)),
+    "reduction": lambda grid, trials, seed, chains: check_reduction(trials=trials, seed=seed),
+    "reduction-chain": lambda grid, trials, seed, chains: check_reduction_chain(_specs(grid)),
+    "rhombus-factorization": lambda grid, trials, seed, chains: check_rhombus_factorization(
+        _specs(grid, **RHOMBUS_BOUNDS), chains
     ),
-    "axis-split": lambda grid, trials, seed: check_axis_split(
-        [spec for spec in _specs(grid, **AXIS_SPLIT_BOUNDS) if not spec.holes]
+    "axis-split": lambda grid, trials, seed, chains: check_axis_split(
+        [spec for spec in _specs(grid, **AXIS_SPLIT_BOUNDS) if not spec.holes], chains
     ),
-    "box-product": lambda grid, trials, seed: check_box_product(),
-    "contiguity": lambda grid, trials, seed: check_contiguity(),
-    "oracles": lambda grid, trials, seed: check_oracles(_specs(grid)),
-    "polynomial": lambda grid, trials, seed: check_polynomial(),
+    "box-product": lambda grid, trials, seed, chains: check_box_product(chains),
+    "contiguity": lambda grid, trials, seed, chains: check_contiguity(),
+    "oracles": lambda grid, trials, seed, chains: check_oracles(_specs(grid), chains),
+    "polynomial": lambda grid, trials, seed, chains: check_polynomial(),
 }
 
 
-def run_suite(name: str, *, grid: dict | None = None, trials: int = 200, seed: int = 7) -> list[dict]:
+def run_suite(
+    name: str, *, grid: dict | None = None, trials: int = 200, seed: int = 7, chains: dict | None = None
+) -> list[dict]:
     """Run one named suite.  grid overrides the default instance bounds
-    where a suite takes a grid."""
+    where a suite takes a grid.  chains is a run table (see `_chains`)
+    that the suites of one run share; without it the suite builds and
+    drops its own chains."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](grid or {}, trials, seed)
+    return SUITES[name](grid or {}, trials, seed, chains)

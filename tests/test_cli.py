@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ import time
 import pytest
 
 import hexholes
-from hexholes import tiler, verify
+from hexholes import paths, tiler, verify
 from hexholes.cli import main, parse_grid
 from hexholes.regions import RegionSpec, build_region
 from hexholes.tiler import count_plain
@@ -160,6 +161,36 @@ def test_count_over_triangle_cap_uses_dp(capsys, cls):
     else:
         # hole-only: the closed forms check the halves and M = M_h * W
         assert rec["crosscheck"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "spec, cls, module, engine",
+    [
+        ("n=2 m=1", "full", tiler, "count_plain"),  # against the enumeration tally
+        ("n=2 m=1", "hsym", tiler, "count_plain"),
+        ("n=2 m=1", "vsym", tiler, "count_free"),
+        # past the triangle cap: M = M_h * W, and the Pfaffian
+        ("n=10 m=1 k=1,2,3,4,5", "hsym", paths, "count_weighted2_via_det"),
+        ("n=10 m=1 k=1,2,3,4,5", "vsym", paths, "count_free_via_pfaffian"),
+        ("n=2 m=1 k=1", "free-left", paths, "count_free_via_pfaffian"),
+        ("n=2 m=1 k=1", "weighted-lower", paths, "count_weighted2_via_det"),
+    ],
+)
+def test_each_class_fails_its_crosscheck_when_a_route_is_off(capsys, monkeypatch, spec, cls, module, engine):
+    real = getattr(module, engine)
+    monkeypatch.setattr(module, engine, lambda *args: real(*args) + 1)
+    code, out = run(capsys, "count", *spec.split(), "--class", cls)
+    rec = json.loads(out)
+    assert code == 1 and rec["crosscheck"] == "MISMATCH" and rec["pass"] is False
+
+
+def test_within_enumeration_reach_the_symmetry_classes_are_checked_by_definition(capsys, monkeypatch):
+    # the enumeration tally is the first route; the closed forms are not asked
+    monkeypatch.setattr(paths, "count_weighted2_via_det", lambda spec: pytest.fail("asked the determinant"))
+    monkeypatch.setattr(paths, "count_free_via_pfaffian", lambda spec: pytest.fail("asked the Pfaffian"))
+    for cls in ("hsym", "vsym"):
+        code, out = run(capsys, "count", "n=2", "m=1", "k=1", "--class", cls)
+        assert code == 0 and json.loads(out)["crosscheck"] == "ok"
 
 
 @pytest.mark.parametrize(
@@ -334,7 +365,7 @@ def test_selftest_prints_one_record_per_suite(capsys, monkeypatch):
     assert code == 0
     assert [row["suite"] for row in csv.DictReader(io.StringIO(out))] == list(suites)
     # a failing suite still exits 1
-    monkeypatch.setattr(verify, "SUITES", {"bad": lambda grid, trials, seed: [{"pass": False}]})
+    monkeypatch.setattr(verify, "SUITES", {"bad": lambda grid, trials, seed, chains: [{"pass": False}]})
     code, out = run(capsys, "selftest")
     rec = json.loads(out)
     assert code == 1
@@ -368,7 +399,7 @@ def test_start_up_loads_no_source_introspection():
 def test_a_parser_built_under_patched_suites_is_not_kept(capsys, monkeypatch):
     # verify's choices are read from verify.SUITES when the parser is built
     with monkeypatch.context() as patched:
-        patched.setattr(verify, "SUITES", {"stub": lambda grid, trials, seed: [{"pass": True}]})
+        patched.setattr(verify, "SUITES", {"stub": lambda grid, trials, seed, chains: [{"pass": True}]})
         code, out = run(capsys, "selftest")
         assert code == 0 and json.loads(out)["suite"] == "stub"
     code, out = run(capsys, "verify", "box-product")
@@ -396,3 +427,43 @@ def test_repeated_calls_print_what_a_fresh_process_prints(capsys, monkeypatch):
             code = stop.code
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def _count_enumerations(monkeypatch) -> collections.Counter:
+    """Count `enumerate_tilings` calls per region."""
+    calls: collections.Counter = collections.Counter()
+    real = tiler.enumerate_tilings
+
+    def counted(region):
+        calls[region] += 1
+        return real(region)
+
+    monkeypatch.setattr(tiler, "enumerate_tilings", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["selftest"], ["verify", "all", "--grid", "n in {2,4}", "m=1", "x<=2", "--trials", "3"]],
+    ids=["selftest", "verify-all"],
+)
+def test_one_run_enumerates_no_region_twice(capsys, monkeypatch, argv):
+    # the suites of one command share one run table, so no two suites, and
+    # no two specs of one region (a side-2 rhombus is a hole pair), enumerate
+    # a region twice
+    calls = _count_enumerations(monkeypatch)
+    code, out = run(capsys, *argv)
+    assert code == 0 and all(json.loads(line)["pass"] for line in out.splitlines())
+    assert calls and max(calls.values()) == 1
+    if argv == ["selftest"]:
+        assert sum(calls.values()) == 114
+
+
+def test_no_run_table_outlives_its_command(capsys, monkeypatch):
+    argv = ["verify", "factorization", "--grid", "n=2 m=1 l=0"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["lhs"] == "20"
+    real = tiler.count_plain
+    monkeypatch.setattr(tiler, "count_plain", lambda region: real(region) + 1)
+    code, out = run(capsys, *argv)
+    assert code == 1 and json.loads(out)["lhs"] == "21"

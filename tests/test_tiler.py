@@ -2,7 +2,7 @@ from collections import defaultdict
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hexholes import intlinalg, tiler, verify
 from hexholes.closedforms import box_tilings
@@ -96,6 +96,7 @@ def test_symmetric_filters_match_half_counts():
         if count_plain(region) > 5000:
             continue
         assert symmetric_via_enumeration(region) == (
+            count_plain(region),
             count_plain(upper_half(region)),
             count_free(left_half_free(region)),
         )
@@ -190,6 +191,44 @@ def test_factorization_with_weighted_half():
         assert lhs == rhs, spec.text()
 
 
+def _less_orbits(region: Region, cells) -> Region:
+    """The region less the orbit of each cell under both reflections."""
+    orbits = set()
+    for t in cells:
+        for u in (t, region.reflect_h(t)):
+            orbits |= {u, region.reflect_v(u)}
+    return region._replace(triangles=region.triangles - orbits)
+
+
+def test_a_symmetric_region_off_the_hole_shape_breaks_only_the_factorization():
+    # a negative control: M = M_h * M_v needs the holes' shape, while
+    # Ciucu's factorization theorem (JCTA 1997), M = M_+ * W, needs only the
+    # symmetry across the hole axis
+    region = _less_orbits(build_hexagon(2, 1), [(1, 0)])
+    tilings, hsym, vsym = symmetric_via_enumeration(region)
+    assert (tilings, hsym, vsym) == (9, 1, 3) and tilings != hsym * vsym
+    assert count_plain(upper_half(region)) * count_weighted2(lower_half_weighted(region)) == 9
+
+
+@st.composite
+def orbit_removed_hexagons(draw):
+    hexagon = build_hexagon(draw(st.integers(1, 4)), draw(st.integers(1, 2)))
+    cells = sorted(hexagon.triangles)
+    return _less_orbits(hexagon, draw(st.lists(st.sampled_from(cells), min_size=1, max_size=2)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(orbit_removed_hexagons())
+def test_ciucus_factorization_holds_on_orbit_removed_hexagons(region):
+    assume(tiler.enumerable(region, lambda: count_plain(region)))
+    try:
+        lower = lower_half_weighted(region)
+    except ValueError:  # a half-removed axis position: no weighted half
+        assume(False)
+    tilings = symmetric_via_enumeration(region)[0]
+    assert tilings == count_plain(upper_half(region)) * count_weighted2(lower)
+
+
 @st.composite
 def small_specs(draw):
     n = draw(st.integers(1, 5))
@@ -214,6 +253,7 @@ def test_engines_agree_on_random_small_regions(spec):
         return
     assert plain == count_via_enumeration(region)
     assert symmetric_via_enumeration(region) == (
+        plain,
         count_plain(upper_half(region)),
         count_free(left_half_free(region)),
     )

@@ -178,7 +178,11 @@ def test_reduction_suites_reduce_each_matrix_once(monkeypatch):
 
 def test_reduction_compares_the_two_reduced_blocks(monkeypatch):
     # a fold that breaks a (nonpositive, plus) entry makes the block read
-    # out of it disagree with the block built from the structured data
+    # out of it disagree with the block built from the structured data: the
+    # certificate fails, and its record names the entry instead of raising
+    spec = RegionSpec(2, 1, (1,))  # skew labels 0, 1, 1-, 1+; reduced rows 1, 1-, columns 1, 1+
+    good = verify.check_reduction_chain([spec])
+    assert good[0]["method_lhs"] == "pfaffian" and all(rec["pass"] for rec in good)
     real = reduction.fold_transform
 
     def corrupted(a):
@@ -187,5 +191,16 @@ def test_reduction_compares_the_two_reduced_blocks(monkeypatch):
         return folded
 
     monkeypatch.setattr(reduction, "fold_transform", corrupted)
-    with pytest.raises(AssertionError, match="direct and folded reduced blocks disagree"):
-        reduction.verify_pfaffian_reduction(paths.endline_skew_matrix(RegionSpec(2, 1, (1,))))
+    cert = reduction.verify_pfaffian_reduction(paths.endline_skew_matrix(spec))
+    assert cert.first_bad_reduced_entry == (1, "1+") and not cert.passed
+    assert cert.first_bad_fold_entry == (0, "1+")
+    bad = verify.check_reduction_chain([spec])
+    assert bad[0] == {
+        **good[0],
+        "lhs": "0",
+        "rhs": "1",
+        "pass": False,
+        "method_lhs": "pfaffian, reduced blocks differ, first bad entry (1, '1+')",
+    }
+    # the difference transform reads the block built from the data
+    assert bad[1] == good[1]
