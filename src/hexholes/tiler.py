@@ -62,13 +62,7 @@ from itertools import accumulate, combinations
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .intlinalg import det_mod_sparse, exact, hadamard_bound, pfaffian_mod_sparse
-from .regions import (
-    CapExceeded,
-    Region,
-    RegionSpec,
-    Triangle,
-    build_region,
-)
+from .regions import CapExceeded, Region, Triangle
 
 Tile = tuple[Triangle, ...]
 Tiling = frozenset
@@ -153,13 +147,10 @@ def enumerable(region: Region, count: Callable[[], int]) -> bool:
 
 
 def count_via_enumeration(region: Region) -> int:
-    return sum(1 for _ in enumerate_tilings(region))
-
-
-def weighted2_via_enumeration(region: Region) -> int:
     """Sum over tilings of 2^(number of special positions not covered by
-    their own axis lozenge); the integer form of the half-weight count.
-    The axis lozenges are worked out once per region."""
+    their own axis lozenge): the plain count on a region without special
+    positions, the integer form of the half-weight count on the weighted
+    half.  The axis lozenges are worked out once per region."""
     axis_tiles = [tuple(sorted((s, region.vertical_partner(s)))) for s in region.special]
     return sum(2 ** sum(tile not in tiling for tile in axis_tiles) for tiling in enumerate_tilings(region))
 
@@ -419,45 +410,21 @@ def count_free(region: Region) -> int:
 # splitting along the perpendicular axis
 
 
-def axis_cut_positions(region: Region) -> list[int]:
-    """Row positions of the lozenge slots bisected by the perpendicular
-    symmetry axis: present up-triangles in the row just above the equator."""
-    cut_row = region.side - 1
-    return sorted(
-        p
-        for (i, p) in region.triangles
-        if i == cut_row and region.is_up((i, p)) and (cut_row + 1, p) in region.triangles
-    )
+def split_by_axis(free_half: Region) -> list[tuple[tuple[int, ...], int]]:
+    """The free half cut at its slots, slot set by slot set.
 
-
-def left_piece(region: Region, chosen: tuple[int, ...]) -> Region:
-    """The upper half of the region minus the chosen bisected lozenge slots
-    (their upper triangles), as a plain sub-region."""
-    cut_row = region.side - 1
-    removed = {(cut_row, p) for p in chosen}
-    cells = frozenset(
-        t for t in region.triangles if t[0] < region.side and t not in removed
-    )
-    return Region(side=region.side, m=region.m, triangles=cells)
-
-
-def split_by_axis(spec: RegionSpec) -> list[tuple[tuple[int, ...], int]]:
-    """Per-subset counts for the split along the perpendicular axis.
-
-    Every tiling bisects exactly spec.n lozenges on that axis; for each
-    n-subset S of the available slots the two sides tile independently, so
-    the plain count is the sum of the squared one-sided counts and the
-    reflect_v-symmetric count is the plain sum.  Returns (S, count) pairs
-    in lexicographic S order.  Only hole-free specs are supported.
+    The slots are the free ups, `_free_ups(free_half)`, ranked left to
+    right.  A tiling leaves a half lozenge on exactly k of them, k the
+    excess of the half's up triangles over its down triangles.  For each
+    k-subset S of the ranks, N(S) is `count_plain` of the half less the
+    triangles of S, which leaves no half lozenge.  The region's tilings
+    crossing the cut on S pair a tiling of each side, so the plain count
+    is the sum of the N(S)^2 and the reflect_v-symmetric count the sum of
+    the N(S).  Returns (S, N(S)) pairs in lexicographic S order.
     """
-    if spec.holes:
-        raise ValueError("split_by_axis supports hole-free specs only")
-    region = build_region(spec)
-    positions = axis_cut_positions(region)
-    expected = 2 * spec.m + spec.n
-    if len(positions) != expected:
-        raise AssertionError(f"expected {expected} axis slots, found {len(positions)}")
-    out = []
-    for chosen in combinations(positions, spec.n):
-        out.append((chosen, count_plain(left_piece(region, chosen))))
-    return out
+    slots = _free_ups(free_half)
+    k = 2 * sum(map(free_half.is_up, free_half.triangles)) - len(free_half.triangles)
+    return [
+        (ranks, count_plain(free_half._replace(triangles=free_half.triangles - {slots[r] for r in ranks})))
+        for ranks in combinations(range(len(slots)), k)
+    ]

@@ -126,7 +126,7 @@ class Chain:
         lambda self: _oracle(tiler.count_via_enumeration, self.free_half, lambda: self.free)
     )
     weighted_enumerated = cached_property(
-        lambda self: _oracle(tiler.weighted2_via_enumeration, self.lower, lambda: tiler.count_plain(self.lower))
+        lambda self: _oracle(tiler.count_via_enumeration, self.lower, lambda: tiler.count_plain(self.lower))
     )
 
     # the symmetry classes by definition where enumerable, else by the halves
@@ -214,20 +214,12 @@ def check_axis_split(specs: Sequence[RegionSpec], chains: dict | None = None) ->
     one-sided count matches its binomial determinant."""
     out = []
     for c in _chains(specs, chains):
-        spec, s = c.spec, c.spec.text()
-        table = tiler.split_by_axis(spec)
+        s = c.spec.text()
+        table = tiler.split_by_axis(c.free_half)
         squares = sum(n * n for _, n in table)
         out.append(record(s, "axis-split-squares", squares, c.plain, "sum of squared piece counts", "kasteleyn-det"))
         out.append(record(s, "axis-split-sum", sum(n for _, n in table), c.vsym, "sum of piece counts", "vsym"))
-        rank_of = {p: r for r, p in enumerate(tiler.axis_cut_positions(c.region))}
-        bad = next(
-            (
-                chosen
-                for chosen, cnt in table
-                if paths.count_left_piece_via_det(spec, tuple(rank_of[p] for p in chosen)) != cnt
-            ),
-            None,
-        )
+        bad = next((ranks for ranks, cnt in table if paths.count_left_piece_via_det(c.spec, ranks) != cnt), None)
         out.append(_located_record(s, "axis-split-determinants", bad, "piece determinants", "tiler piece counts", "subset"))
     return out
 
@@ -489,8 +481,9 @@ SUITES = {
     "rhombus-factorization": lambda grid, trials, seed, chains: check_rhombus_factorization(
         _specs(grid, **RHOMBUS_BOUNDS), chains
     ),
+    # the binomial determinants of `paths` reach hole-free specs of even n only
     "axis-split": lambda grid, trials, seed, chains: check_axis_split(
-        [spec for spec in _specs(grid, **AXIS_SPLIT_BOUNDS) if not spec.holes], chains
+        [spec for spec in _specs(grid, **AXIS_SPLIT_BOUNDS) if not spec.holes and spec.n % 2 == 0], chains
     ),
     "box-product": lambda grid, trials, seed, chains: check_box_product(chains),
     "contiguity": lambda grid, trials, seed, chains: check_contiguity(),

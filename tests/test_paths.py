@@ -23,7 +23,7 @@ from hexholes.paths import (
 )
 from hexholes.reduction import check_hypotheses, endpoint_labels, hole_sign
 from hexholes.regions import CapExceeded, RegionSpec, build_region, left_half_free, lower_half_weighted
-from hexholes.tiler import axis_cut_positions, count_free, count_weighted2, split_by_axis
+from hexholes.tiler import count_free, count_weighted2, split_by_axis
 from hexholes.verify import iter_specs
 
 from oracles import pfaffian_by_matchings, reflectable_gf_dp
@@ -247,23 +247,14 @@ def test_brute_force_families_match_formulas():
 
 def test_left_piece_determinants_match_tiler():
     for spec in [RegionSpec(2, 1, (), 0), RegionSpec(2, 1, (), 1), RegionSpec(2, 1, (), 2)]:
-        region = build_region(spec)
-        positions = axis_cut_positions(region)
-        rank_of = {p: r for r, p in enumerate(positions)}
-        for chosen, cnt in split_by_axis(spec):
-            ranks = tuple(rank_of[p] for p in chosen)
+        for ranks, cnt in split_by_axis(left_half_free(build_region(spec))):
             assert count_left_piece_via_det(spec, ranks) == cnt
 
 
 def test_left_piece_unreachable_endpoint_gives_zero_det():
     # dropping the far-end slots forces an unreachable assignment
     spec = RegionSpec(2, 1, (), 1)
-    table = dict(split_by_axis(spec))
-    region = build_region(spec)
-    positions = axis_cut_positions(region)
-    rank_of = {p: r for r, p in enumerate(positions)}
-    zero_sets = [
-        tuple(rank_of[p] for p in chosen) for chosen, cnt in table.items() if cnt == 0
-    ]
+    table = split_by_axis(left_half_free(build_region(spec)))
+    zero_sets = [ranks for ranks, cnt in table if cnt == 0]
     for ranks in zero_sets:
         assert count_left_piece_via_det(spec, ranks) == 0

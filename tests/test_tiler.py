@@ -19,16 +19,13 @@ from hexholes.regions import (
     upper_half,
 )
 from hexholes.tiler import (
-    axis_cut_positions,
     count_free,
     count_plain,
     count_via_enumeration,
     count_weighted2,
     enumerate_tilings,
-    left_piece,
     split_by_axis,
     symmetric_via_enumeration,
-    weighted2_via_enumeration,
 )
 from hexholes.verify import iter_specs
 
@@ -81,7 +78,7 @@ def test_dp_matches_enumeration_on_punched_regions():
         half = left_half_free(region)
         assert count_free(half) == count_via_enumeration(half)
         lower = lower_half_weighted(region)
-        assert count_weighted2(lower) == weighted2_via_enumeration(lower)
+        assert count_weighted2(lower) == count_via_enumeration(lower)
 
 
 def test_weighted2_seed_values():
@@ -143,24 +140,35 @@ def test_every_tiling_bisects_n_lozenges():
 def test_split_by_axis_counts():
     spec = RegionSpec(2, 1, (), 1)
     region = build_region(spec)
-    table = split_by_axis(spec)
+    table = split_by_axis(left_half_free(region))
     assert len(table) == 6  # C(n + 2m, n) subsets of the available slots
+    assert [ranks for ranks, _ in table] == list(combinations(range(4), 2))
     assert sum(c * c for _, c in table) == count_plain(region)
     assert sum(c for _, c in table) == count_free(left_half_free(region))
 
 
-def test_split_rejects_holes():
-    with pytest.raises(ValueError):
-        split_by_axis(RegionSpec(4, 1, (1,)))
+def test_split_by_axis_ranks_the_slots_left_to_right():
+    # a half without its top-left lozenge is not reflect_h-symmetric, so a
+    # slot set and its mirror image count apart; rank r is the slot (1, 2r)
+    half = left_half_free(build_hexagon(2, 1))
+    half = half._replace(triangles=half.triangles - {(0, 0), (0, 1)})
+    table = split_by_axis(half)
+    assert table == [((0, 1), 0), ((0, 2), 1), ((0, 3), 2), ((1, 2), 1), ((1, 3), 2), ((2, 3), 1)]
+    for ranks, cnt in table:
+        assert count_plain(half._replace(triangles=half.triangles - {(1, 2 * r) for r in ranks})) == cnt
 
 
-def test_left_piece_regions():
-    spec = RegionSpec(2, 1, (), 1)
+@pytest.mark.parametrize("text", ["n=4 m=1 k=1", "n=5 m=1 k=2", "n=6 m=2 k=1,3 x=2"])
+def test_split_by_axis_holds_on_holey_regions(text):
+    # each hole pair leaves two fewer slots to cross the cut, and the split
+    # holds on the holey half as on the hole-free one
+    spec = RegionSpec.parse(text)
     region = build_region(spec)
-    positions = axis_cut_positions(region)
-    assert len(positions) == 2 * spec.m + spec.n
-    piece = left_piece(region, tuple(positions[: spec.n]))
-    assert all(t[0] < region.side for t in piece.triangles)
+    half = left_half_free(region)
+    table = split_by_axis(half)
+    assert {len(ranks) for ranks, _ in table} == {spec.n - 2 * spec.l}
+    assert sum(c * c for _, c in table) == count_plain(region)
+    assert sum(c for _, c in table) == count_free(half)
 
 
 def _five_counts(spec):
@@ -261,7 +269,7 @@ def test_engines_agree_on_random_small_regions(spec):
     half = left_half_free(region)
     assert count_free(half) == count_via_enumeration(half)
     lower = lower_half_weighted(region)
-    assert count_weighted2(lower) == weighted2_via_enumeration(lower)
+    assert count_weighted2(lower) == count_via_enumeration(lower)
 
 
 @pytest.mark.parametrize(

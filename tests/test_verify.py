@@ -1,7 +1,7 @@
 import pytest
 
 from hexholes import paths, reduction, tiler, verify
-from hexholes.regions import RegionSpec, build_region
+from hexholes.regions import RegionSpec, build_region, left_half_free
 
 
 def test_iter_specs_is_lexicographic_and_valid():
@@ -104,10 +104,9 @@ def test_failed_axis_split_record_names_the_first_bad_subset(monkeypatch):
     spec = RegionSpec(2, 1, (), 1)
     good = verify.check_axis_split([spec])[2]
     assert good == verify.record(spec.text(), "axis-split-determinants", 1, 1, "piece determinants", "tiler piece counts")
-    table = tiler.split_by_axis(spec)
-    rank_of = {p: r for r, p in enumerate(tiler.axis_cut_positions(build_region(spec)))}
+    table = tiler.split_by_axis(left_half_free(build_region(spec)))
     (first_bad, _), (second_bad, _) = table[2], table[4]
-    bad_ranks = {tuple(rank_of[p] for p in chosen) for chosen in (first_bad, second_bad)}
+    bad_ranks = {first_bad, second_bad}
     real = paths.count_left_piece_via_det
 
     def off_by_one(spec, ranks):
