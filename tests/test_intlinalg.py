@@ -145,12 +145,36 @@ def test_det_mod_sparse_matches_the_cofactor_expansion():
     # mostly-zero matrices, so pivots must be searched for; the small prime
     # also makes nonzero entries vanish during elimination
     rng = random.Random(23)
-    for prime in (7, 2**61 - 1):
+    # every modulus reduces by the fold, from 3 bits to 2,203
+    for prime in (7, 2**61 - 1, 2**521 - 1, 2**2203 - 1):
         for n in range(0, 8):
             for _ in range(40):
                 rows = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
                 sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
                 assert det_mod_sparse(sparse, prime) == det_cofactor(rows) % prime
+
+
+def test_det_mod_sparse_edge_cases():
+    # a narrow and a wide modulus
+    for prime in (2**61 - 1, 2**521 - 1):
+        half = prime // 2
+        # eliminating column 0 takes entry (1, 1) to 1 - 1 * 1 = 0, which the
+        # fold reaches as prime itself; read as nonzero, it would be a pivot
+        assert det_mod_sparse([{0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}], prime) == prime - 1
+        # entry (1, 1) becomes 1 - 2 = -1, folded from 1 + (prime - 1) * 2
+        assert det_mod_sparse([{0: 1, 1: 2}, {0: 1, 1: 1}], prime) == prime - 1
+        # determinants prime // 2 and -(prime // 2), each reached by an update
+        assert det_mod_sparse([{0: 1, 1: 2}, {0: 1, 1: half + 2}], prime) == half
+        assert det_mod_sparse([{0: 1, 1: half + 2}, {0: 1, 1: 2}], prime) == prime - half
+
+
+@pytest.mark.parametrize("kernel", [det_mod_sparse, pfaffian_mod_sparse])
+def test_sparse_kernels_refuse_a_modulus_that_is_not_mersenne(kernel):
+    rows = [{1: 1}, {0: -1}]
+    assert kernel(rows, 2**61 - 1) == 1
+    for modulus in (11, 2**61 + 1, 2**521 - 3):
+        with pytest.raises(ValueError, match="need a modulus 2\\^e - 1"):
+            kernel(rows, modulus)
 
 
 @pytest.mark.parametrize(
@@ -194,7 +218,8 @@ def sparse_skew(draw):
     return rows
 
 
-@given(sparse_skew(), st.sampled_from(KASTELEYN_PRIMES))
+# 7 and 31 make nonzero entries vanish and residues wrap during elimination
+@given(sparse_skew(), st.sampled_from((7, 31) + KASTELEYN_PRIMES))
 def test_pfaffian_mod_sparse_matches_the_matching_expansion(rows, prime):
     sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
     pf = pfaffian_mod_sparse(sparse, prime)
@@ -202,17 +227,39 @@ def test_pfaffian_mod_sparse_matches_the_matching_expansion(rows, prime):
     assert pf * pf % prime == det_mod_sparse(sparse, prime)
 
 
+def _pfaffian_via_one_update(a, b, d):
+    """The sparse rows of the 4x4 skew matrix with A[0][1] = 1, A[0][2] = a,
+    A[1][3] = b and A[2][3] = d, whose Pfaffian d - a * b the kernel reaches
+    by pairing 0 with 1 and updating entry (2, 3) once."""
+    return [{1: 1, 2: a}, {0: -1, 3: b}, {0: -a, 3: d}, {1: -b, 2: -d}]
+
+
 def test_pfaffian_mod_sparse_edge_cases():
-    prime = KASTELEYN_PRIMES[0]
-    assert pfaffian_mod_sparse([], prime) == 1
-    # row 1 is all zero, though rows 0, 2 and 3 pair off
-    assert pfaffian_mod_sparse([{2: 1, 3: 1}, {}, {0: -1, 3: 1}, {0: -1, 2: -1}], prime) == 0
-    assert pfaffian_mod_sparse([{1: 5}, {0: -5}], prime) == 5
-    assert pfaffian_mod_sparse([{1: -5}, {0: 5}], prime) == prime - 5
-    with pytest.raises(ValueError):
-        pfaffian_mod_sparse([{}], prime)
-    with pytest.raises(ValueError):
-        pfaffian_mod_sparse([{1: 1}, {0: 1}], prime)
+    # a narrow and a wide modulus
+    for prime in (KASTELEYN_PRIMES[0], 2**521 - 1):
+        half = prime // 2
+        assert pfaffian_mod_sparse([], prime) == 1
+        # row 1 is all zero, though rows 0, 2 and 3 pair off
+        assert pfaffian_mod_sparse([{2: 1, 3: 1}, {}, {0: -1, 3: 1}, {0: -1, 2: -1}], prime) == 0
+        assert pfaffian_mod_sparse([{1: 5}, {0: -5}], prime) == 5
+        assert pfaffian_mod_sparse([{1: -5}, {0: 5}], prime) == prime - 5
+        # the update 1 + 2 * half is prime itself; read as nonzero, it would
+        # be the last pair's pivot
+        assert pfaffian_mod_sparse(_pfaffian_via_one_update(2, -half, 1), prime) == 0
+        # updates of -1, of half and of -half (the entry half + 1 is read as -half)
+        assert pfaffian_mod_sparse(_pfaffian_via_one_update(1, 1, 0), prime) == prime - 1
+        assert pfaffian_mod_sparse(_pfaffian_via_one_update(1, 1, half + 1), prime) == half
+        assert pfaffian_mod_sparse(_pfaffian_via_one_update(1, -1, -half - 1), prime) == prime - half
+        # entries past the modulus are reduced on entry: unreduced, the update
+        # (d - 1) = prime * ((prime + 1)^2 + 1), a multiple of prime near
+        # prime^3, would fold to prime * (prime + 2) and read as nonzero
+        d = prime * ((prime + 1) ** 2 + 1) + 1
+        assert pfaffian_mod_sparse(_pfaffian_via_one_update(1, 1, d), prime) == 0
+        assert pfaffian_mod_sparse(_pfaffian_via_one_update(prime + 1, prime - 1, 3 * prime), prime) == 1
+        with pytest.raises(ValueError):
+            pfaffian_mod_sparse([{}], prime)
+        with pytest.raises(ValueError):
+            pfaffian_mod_sparse([{1: 1}, {0: 1}], prime)
 
 
 def _lucas_lehmer(e: int) -> bool:

@@ -17,6 +17,7 @@ from hexholes.paths import (
     endline_skew_matrix,
     free_endpoint_pfaffian_matrix,
     free_path_count,
+    left_piece_matrix,
     lgv_matrix,
     reflectable_gf,
     start_point,
@@ -251,10 +252,12 @@ def test_left_piece_determinants_match_tiler():
             assert count_left_piece_via_det(spec, ranks) == cnt
 
 
-def test_left_piece_unreachable_endpoint_gives_zero_det():
-    # dropping the far-end slots forces an unreachable assignment
+def test_left_piece_matrix_refuses_too_few_distinct_ranks_or_a_rank_off_the_axis():
+    # n=2 m=1 x=1 has 2m + n = 4 slots, and a tiling crosses n = 2 of them;
+    # the check is on the set of ranks, so (1, 1) is refused for having one
+    # distinct rank, while a longer list with a repeat, (0, 0, 1), is not
     spec = RegionSpec(2, 1, (), 1)
-    table = split_by_axis(left_half_free(build_region(spec)))
-    zero_sets = [ranks for ranks, cnt in table if cnt == 0]
-    for ranks in zero_sets:
-        assert count_left_piece_via_det(spec, ranks) == 0
+    assert left_piece_matrix(spec, (0, 3)).order == 2
+    for ranks in [(0,), (), (1, 1), (0, 4), (-1, 2)]:
+        with pytest.raises(ValueError, match="need 2 distinct ranks below 4"):
+            left_piece_matrix(spec, ranks)
