@@ -11,6 +11,12 @@ matrices they specialize, and brute-forces small path families as an
 independent oracle.  The weighted lattice DP that checks the closed form
 `reflectable_gf` is in `tests/oracles.py`.
 
+The lattice picture of a spec is three functions: `start_point` (a label's
+start), `end_point` (that start mirrored through the cut line x + y = n + 1)
+and `cut_line_points`.  Two generic builders read it:
+`free_endpoint_pfaffian_matrix` for ends anywhere on the cut line, and the
+one LGV builder `lgv_matrix`, given a single-path count, for fixed ends.
+
 Conventions: points are (x, y) on the integer lattice, steps go right or
 up.  A start on the cut line x + y = n + 1 admits only the empty path,
 since steps strictly increase x + y.
@@ -21,7 +27,7 @@ from __future__ import annotations
 from itertools import accumulate, combinations
 from math import prod
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .intlinalg import (
     LabeledMatrix,
@@ -60,20 +66,20 @@ def free_path_count(a: Point, b: Point) -> int:
     return binomial(dx + dy, dx)
 
 
-def reflectable_gf(a: int, b: int, c: int, d: int) -> int:
+def reflectable_gf(a: Point, b: Point) -> int:
     """Closed form for the diagonal-touch generating function.
 
-    Counts monotone paths (a,b) -> (c,d) that never cross above x = y,
-    weighting each by 2^(number of diagonal touches).  Reflecting path
-    segments at the touches identifies this with the number of *all* paths
-    to (c,d) plus all paths to (d,c), whence the two binomials.
+    Counts monotone paths a -> b that never cross above x = y, weighting
+    each by 2^(number of diagonal touches).  Reflecting path segments at the
+    touches identifies this with the number of *all* paths to b plus all
+    paths to b's mirror image in x = y, whence the two binomials.
     """
-    if a <= b or c <= d:
+    if a[0] <= a[1] or b[0] <= b[1]:
         raise ValueError("reflectable_gf needs strictly sub-diagonal endpoints")
-    total = c + d - a - b
+    total = b[0] + b[1] - a[0] - a[1]
     if total < 0:
         return 0
-    return binomial(total, c - a) + binomial(total, d - a)
+    return binomial(total, b[0] - a[0]) + binomial(total, b[1] - a[0])
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +117,22 @@ def free_endpoint_pfaffian_matrix(
     return LabeledMatrix(labels, labels, rows)
 
 
-def lgv_matrix(starts: Sequence[Point], ends: Sequence[Point]) -> LabeledMatrix:
-    """LGV matrix of diagonal-confined paths: entry (i, j) is the generating
-    function of paths from starts[j] to ends[i] below x = y, with factor 2
-    per diagonal touch."""
-    rows = [[reflectable_gf(s[0], s[1], e[0], e[1]) for s in starts] for e in ends]
+def lgv_matrix(count: Callable, starts: Sequence[Point], ends: Sequence[Point]) -> LabeledMatrix:
+    """LGV matrix of fixed-endpoint families: entry (i, j) is count(starts[j],
+    ends[i]), the single-path count the family's paths are weighted by
+    (`free_path_count`, or `reflectable_gf` for diagonal-confined paths with
+    factor 2 per diagonal touch)."""
+    rows = [[count(s, e) for s in starts] for e in ends]
     return LabeledMatrix(list(range(len(ends))), list(range(len(starts))), rows)
 
 
 # ---------------------------------------------------------------------------
-# the two closed-form matrices of a spec
+# the lattice picture of a spec
 
 
 def start_point(spec: RegionSpec, label) -> Point:
-    """Start point of the path attached to a row label: (s, 1-s) for the
-    integer labels, (k_t, k_t+1) / (k_t+1, k_t) for the hole labels."""
+    """Start point of the path attached to a label: (s, 1-s) for the
+    integer labels, (k_t, k_t+1) / (k_t+1, k_t) for the hole labels t- / t+."""
     if isinstance(label, int):
         return (label, 1 - label)
     t, minus = parse_hole_label(label)
@@ -135,11 +142,22 @@ def start_point(spec: RegionSpec, label) -> Point:
     return (k + 1, k)
 
 
+def end_point(spec: RegionSpec, label) -> Point:
+    """End point of the path attached to a label: its start point mirrored
+    through the cut line x + y = n + 1, (a, b) -> (n+1-b, n+1-a)."""
+    a, b = start_point(spec, label)
+    return (spec.n + 1 - b, spec.n + 1 - a)
+
+
 def cut_line_points(spec: RegionSpec) -> list[Point]:
     """The ordered endpoint truncation (j, n+1-j), j = -m+1 .. n+m; widening
     it only adds unreachable points and changes nothing."""
     n, m = spec.n, spec.m
     return [(j, n + 1 - j) for j in range(-m + 1, n + m + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the two closed-form matrices of a spec
 
 
 def endline_skew_matrix(spec: RegionSpec) -> LabeledMatrix:
@@ -179,18 +197,6 @@ def endline_skew_matrix(spec: RegionSpec) -> LabeledMatrix:
 def count_free_via_pfaffian(spec: RegionSpec) -> int:
     """The free-boundary half count as (-1)^C(l,2) Pf of the closed form."""
     return hole_sign(spec.l) * pfaffian_elimination(endline_skew_matrix(spec))
-
-
-def diagonal_start_points(spec: RegionSpec) -> list[Point]:
-    n, m, ks = spec.n, spec.m, spec.holes
-    return [(s, 1 - s) for s in range(1, m + 1)] + [(k + 1, k) for k in ks]
-
-
-def diagonal_end_points(spec: RegionSpec) -> list[Point]:
-    n, m, ks = spec.n, spec.m, spec.holes
-    return [(n + s, n - s + 1) for s in range(1, m + 1)] + [
-        (n - k + 1, n - k) for k in ks
-    ]
 
 
 def diagonal_lgv_matrix(spec: RegionSpec) -> LabeledMatrix:
@@ -351,35 +357,22 @@ def brute_force_fixed_families(
 # the split along the perpendicular axis, as determinants
 
 
-def axis_split_endpoint_indices(spec: RegionSpec) -> list[int]:
-    """Endpoint indices available to the split paths: 1..m+n/2 on one side
-    of the central gap of width x, then m+n/2+x+1..2m+n+x on the other."""
-    if spec.n % 2:
-        raise ValueError("the axis split needs even n")
-    n, m, x = spec.n, spec.m, spec.central_x
-    half = m + n // 2
-    return list(range(1, half + 1)) + list(range(half + x + 1, 2 * m + n + x + 1))
-
-
 def left_piece_matrix(spec: RegionSpec, chosen_ranks: Sequence[int]) -> LabeledMatrix:
     """LGV matrix whose determinant counts tilings of the left piece when
     the bisected slots at the given ranks (0-based along the axis) carry
     the forced lozenges of the set S.
 
-    The 2m paths start on the short side and end at the unchosen slots;
-    every entry is the single binomial C(n+x, j-i)."""
-    if spec.holes:
-        raise ValueError("left_piece_matrix supports hole-free specs only")
-    indices = axis_split_endpoint_indices(spec)
+    The 2m paths run from (i, -i), i = 1..2m, to the unchosen slots
+    (j, n+x-j), whose indices j skip the central gap of width x: 1..m+n/2,
+    then m+n/2+x+1..2m+n+x.  Every entry is the free path count C(n+x, j-i)."""
+    if spec.holes or spec.n % 2:
+        raise ValueError("left_piece_matrix needs a hole-free spec of even n")
+    n, m, x = spec.n, spec.m, spec.central_x
+    half = m + n // 2
+    slots = [j for j in range(1, 2 * m + n + x + 1) if not half < j <= half + x]
     chosen = set(chosen_ranks)
-    if len(chosen) != spec.n or not all(0 <= r < len(indices) for r in chosen):
-        raise ValueError(f"need {spec.n} distinct ranks below {len(indices)}")
-    ends = [indices[r] for r in range(len(indices)) if r not in chosen]
-    total = spec.n + spec.central_x
-    starts = list(range(1, 2 * spec.m + 1))
-    rows = [[binomial(total, j - i) for i in starts] for j in ends]
-    return LabeledMatrix(ends, starts, rows)
-
-
-def count_left_piece_via_det(spec: RegionSpec, chosen_ranks: Sequence[int]) -> int:
-    return determinant(left_piece_matrix(spec, chosen_ranks))
+    if not len(chosen_ranks) == len(chosen) == n or not all(0 <= r < len(slots) for r in chosen):
+        raise ValueError(f"need {n} distinct ranks below {len(slots)}")
+    starts = [(i, -i) for i in range(1, 2 * m + 1)]
+    ends = [(j, n + x - j) for r, j in enumerate(slots) if r not in chosen]
+    return lgv_matrix(free_path_count, starts, ends)

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import closedforms, paths, reduction, tiler
-from .intlinalg import LabeledMatrix, pfaffian_elimination
+from .intlinalg import LabeledMatrix, determinant, pfaffian_elimination
 from .regions import (
     Region,
     RegionSpec,
@@ -219,7 +219,7 @@ def check_axis_split(specs: Sequence[RegionSpec], chains: dict | None = None) ->
         squares = sum(n * n for _, n in table)
         out.append(record(s, "axis-split-squares", squares, c.plain, "sum of squared piece counts", "kasteleyn-det"))
         out.append(record(s, "axis-split-sum", sum(n for _, n in table), c.vsym, "sum of piece counts", "vsym"))
-        bad = next((ranks for ranks, cnt in table if paths.count_left_piece_via_det(c.spec, ranks) != cnt), None)
+        bad = next((ranks for ranks, cnt in table if determinant(paths.left_piece_matrix(c.spec, ranks)) != cnt), None)
         out.append(_located_record(s, "axis-split-determinants", bad, "piece determinants", "tiler piece counts", "subset"))
     return out
 
@@ -286,9 +286,9 @@ def check_lgv_matrix(specs: Sequence[RegionSpec]) -> list[dict]:
             continue
         s = spec.text()
         closed = paths.diagonal_lgv_matrix(spec)
-        starts = paths.diagonal_start_points(spec)
-        ends = paths.diagonal_end_points(spec)
-        generic = paths.lgv_matrix(starts, ends)
+        starts = [paths.start_point(spec, lab) for lab in closed.col_labels]
+        ends = [paths.end_point(spec, lab) for lab in closed.row_labels]
+        generic = paths.lgv_matrix(paths.reflectable_gf, starts, ends)
         out.append(
             _entries_record(s, "lgv-matrix-entries", closed, generic, "closed form", "reflection generating functions")
         )

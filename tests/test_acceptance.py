@@ -64,7 +64,7 @@ def test_06_reflection_gf_and_pfaffian_square():
         for d in range(c):
             for a in range(c + 1):
                 for b in range(a):
-                    assert reflectable_gf(a, b, c, d) == reflectable_gf_dp(a, b, c, d)
+                    assert reflectable_gf((a, b), (c, d)) == reflectable_gf_dp(a, b, c, d)
                     checks += 1
     rng = random.Random(7)
     for order in (2, 4, 6, 8):

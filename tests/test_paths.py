@@ -8,12 +8,10 @@ from hexholes.paths import (
     brute_force_endline_families,
     brute_force_fixed_families,
     count_free_via_pfaffian,
-    count_left_piece_via_det,
     count_weighted2_via_det,
     cut_line_points,
-    diagonal_end_points,
     diagonal_lgv_matrix,
-    diagonal_start_points,
+    end_point,
     endline_skew_matrix,
     free_endpoint_pfaffian_matrix,
     free_path_count,
@@ -24,12 +22,27 @@ from hexholes.paths import (
 )
 from hexholes.reduction import check_hypotheses, endpoint_labels, hole_sign
 from hexholes.regions import CapExceeded, RegionSpec, build_region, left_half_free, lower_half_weighted
-from hexholes.tiler import count_free, count_weighted2, split_by_axis
+from hexholes.tiler import count_free, count_plain, count_weighted2, split_by_axis
 from hexholes.verify import iter_specs
 
 from oracles import pfaffian_by_matchings, reflectable_gf_dp
 
 SEED = RegionSpec(2, 1, (1,))
+
+
+def family_points(spec, labels=None):
+    """The starts of the paths named by the labels (every endpoint label of
+    the skew matrix by default) and their mirrored ends."""
+    if labels is None:
+        labels = endpoint_labels(spec.m, spec.l)
+    return [start_point(spec, lab) for lab in labels], [end_point(spec, lab) for lab in labels]
+
+
+def generic_lgv_matrix(spec):
+    """The LGV matrix of reflection generating functions between the points
+    of the closed form's labels: starts by column, ends by row."""
+    labels = diagonal_lgv_matrix(spec).col_labels
+    return lgv_matrix(reflectable_gf, *family_points(spec, labels))
 
 
 def test_free_path_count():
@@ -39,11 +52,11 @@ def test_free_path_count():
 
 
 def test_reflectable_gf_values():
-    assert reflectable_gf(1, 0, 2, 1) == 3
-    assert reflectable_gf(1, 0, 3, 0) == 1
-    assert reflectable_gf(4, 2, 4, 2) == 1
+    assert reflectable_gf((1, 0), (2, 1)) == 3
+    assert reflectable_gf((1, 0), (3, 0)) == 1
+    assert reflectable_gf((4, 2), (4, 2)) == 1
     with pytest.raises(ValueError):
-        reflectable_gf(1, 1, 3, 0)
+        reflectable_gf((1, 1), (3, 0))
 
 
 def test_reflectable_gf_matches_dp():
@@ -51,7 +64,7 @@ def test_reflectable_gf_matches_dp():
         for d in range(c):
             for a in range(c + 1):
                 for b in range(a):
-                    assert reflectable_gf(a, b, c, d) == reflectable_gf_dp(a, b, c, d)
+                    assert reflectable_gf((a, b), (c, d)) == reflectable_gf_dp(a, b, c, d)
 
 
 def test_seed_skew_matrix_entries():
@@ -92,9 +105,17 @@ def test_seed_lgv_matrix_and_det():
 
 def test_lgv_entries_are_reflection_gfs():
     for spec in iter_specs(range(1, 5), (1, 2), (0, 1, 2)):
-        closed = diagonal_lgv_matrix(spec)
-        generic = lgv_matrix(diagonal_start_points(spec), diagonal_end_points(spec))
-        assert closed.rows == generic.rows, spec.text()
+        assert diagonal_lgv_matrix(spec).rows == generic_lgv_matrix(spec).rows, spec.text()
+
+
+def test_the_start_points_and_their_mirror_are_the_whole_region_lgv():
+    # every path of the skew matrix's labels, from its start to its mirrored
+    # end, counted by free paths: the determinant is the plain tiling count
+    specs = iter_specs(range(1, 9), (1, 2, 3), (0, 1, 2))
+    assert len(specs) == 114
+    for spec in specs:
+        det = determinant(lgv_matrix(free_path_count, *family_points(spec)))
+        assert det == count_plain(build_region(spec)) > 0, spec.text()
 
 
 def double_sum_matrix(starts, ipoints) -> LabeledMatrix:
@@ -129,7 +150,7 @@ def test_running_sums_match_definition_on_random_points(starts, ipoints):
 def test_closed_skew_matrix_matches_double_sums():
     for spec in iter_specs(range(1, 5), (1, 2), (0, 1, 2)) + [RegionSpec(12, 3, (2, 5, 6))]:
         closed = endline_skew_matrix(spec)
-        starts = [start_point(spec, lab) for lab in endpoint_labels(spec.m, spec.l)]
+        starts, _ = family_points(spec)
         generic = free_endpoint_pfaffian_matrix(starts, cut_line_points(spec))
         assert generic == double_sum_matrix(starts, cut_line_points(spec)), spec.text()
         assert closed.rows == generic.rows, spec.text()
@@ -147,16 +168,17 @@ def closed_form_specs(draw):
 @given(closed_form_specs())
 def test_closed_skew_matrix_matches_generic_matrix_on_random_specs(spec):
     closed = endline_skew_matrix(spec)
-    starts = [start_point(spec, lab) for lab in endpoint_labels(spec.m, spec.l)]
+    starts, _ = family_points(spec)
     generic = free_endpoint_pfaffian_matrix(starts, cut_line_points(spec))
     assert closed.rows == generic.rows
     ss = check_hypotheses(closed)
     assert (ss.m, ss.l) == (spec.m, spec.l)
+    assert diagonal_lgv_matrix(spec).rows == generic_lgv_matrix(spec).rows
 
 
 def test_widening_the_cut_line_changes_nothing():
     spec = RegionSpec(3, 2, (1,))
-    starts = [start_point(spec, lab) for lab in endpoint_labels(spec.m, spec.l)]
+    starts, _ = family_points(spec)
     narrow = free_endpoint_pfaffian_matrix(starts, cut_line_points(spec))
     n, m = spec.n, spec.m
     wide = [(j, n + 1 - j) for j in range(-m - 4, n + m + 5)]
@@ -236,28 +258,26 @@ def test_paths_meeting_at_one_endpoint_form_no_family():
 
 def test_brute_force_families_match_formulas():
     for spec in [RegionSpec(2, 1, (1,)), RegionSpec(3, 1, (1,)), RegionSpec(2, 2)]:
-        starts = [start_point(spec, lab) for lab in endpoint_labels(spec.m, spec.l)]
+        starts, _ = family_points(spec)
         fam = brute_force_endline_families(starts, cut_line_points(spec))
         assert fam.total == count_free_via_pfaffian(spec), spec.text()
         assert fam.signs <= {hole_sign(spec.l)}
-        weighted = brute_force_fixed_families(
-            diagonal_start_points(spec), diagonal_end_points(spec), diagonal=True
-        )
+        labels = diagonal_lgv_matrix(spec).col_labels
+        weighted = brute_force_fixed_families(*family_points(spec, labels), diagonal=True)
         assert weighted == count_weighted2_via_det(spec)
 
 
 def test_left_piece_determinants_match_tiler():
     for spec in [RegionSpec(2, 1, (), 0), RegionSpec(2, 1, (), 1), RegionSpec(2, 1, (), 2)]:
         for ranks, cnt in split_by_axis(left_half_free(build_region(spec))):
-            assert count_left_piece_via_det(spec, ranks) == cnt
+            assert determinant(left_piece_matrix(spec, ranks)) == cnt
 
 
 def test_left_piece_matrix_refuses_too_few_distinct_ranks_or_a_rank_off_the_axis():
     # n=2 m=1 x=1 has 2m + n = 4 slots, and a tiling crosses n = 2 of them;
-    # the check is on the set of ranks, so (1, 1) is refused for having one
-    # distinct rank, while a longer list with a repeat, (0, 0, 1), is not
+    # (1, 1) has one distinct rank, and (0, 0, 1) has two but lists three
     spec = RegionSpec(2, 1, (), 1)
     assert left_piece_matrix(spec, (0, 3)).order == 2
-    for ranks in [(0,), (), (1, 1), (0, 4), (-1, 2)]:
+    for ranks in [(0,), (), (1, 1), (0, 0, 1), (0, 4), (-1, 2)]:
         with pytest.raises(ValueError, match="need 2 distinct ranks below 4"):
             left_piece_matrix(spec, ranks)

@@ -107,12 +107,15 @@ def test_failed_axis_split_record_names_the_first_bad_subset(monkeypatch):
     table = tiler.split_by_axis(left_half_free(build_region(spec)))
     (first_bad, _), (second_bad, _) = table[2], table[4]
     bad_ranks = {first_bad, second_bad}
-    real = paths.count_left_piece_via_det
+    real = paths.left_piece_matrix
 
     def off_by_one(spec, ranks):
-        return real(spec, ranks) + (ranks in bad_ranks)
+        # entry (0, 0) has the nonzero cofactor C(3, 2) at both bad subsets
+        mat = real(spec, ranks)
+        mat.rows[0][0] += ranks in bad_ranks
+        return mat
 
-    monkeypatch.setattr(paths, "count_left_piece_via_det", off_by_one)
+    monkeypatch.setattr(paths, "left_piece_matrix", off_by_one)
     bad = verify.check_axis_split([spec])[2]
     assert bad == {
         **good,
