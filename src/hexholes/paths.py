@@ -12,14 +12,16 @@ independent oracle.  The weighted lattice DP that checks the closed form
 `reflectable_gf` is in `tests/oracles.py`.
 
 The lattice picture of a spec is three functions: `start_point` (a label's
-start), `end_point` (that start mirrored through the cut line x + y = n + 1)
-and `cut_line_points`.  Two generic builders read it:
+start), `end_point` (that start mirrored through the cut line x + y = N + 1,
+N = n + x the frame side) and `cut_line_points` (the cut line less the x
+rhombus points, which no path reaches).  Two generic builders read it:
 `free_endpoint_pfaffian_matrix` for ends anywhere on the cut line, and the
-one LGV builder `lgv_matrix`, given a single-path count, for fixed ends.
+one LGV builder `lgv_matrix`, given a single-path count, for fixed ends,
+which the axis split's `left_piece_matrix` feeds.
 
 Conventions: points are (x, y) on the integer lattice, steps go right or
-up.  A start on the cut line x + y = n + 1 admits only the empty path,
-since steps strictly increase x + y.
+up.  A start on the cut line admits only the empty path, since steps
+strictly increase x + y.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .intlinalg import (
 )
 from .reduction import (
     StructuredSkew,
+    endpoint_labels,
     hole_sign,
     int_labels,
     minus_label,
@@ -143,17 +146,19 @@ def start_point(spec: RegionSpec, label) -> Point:
 
 
 def end_point(spec: RegionSpec, label) -> Point:
-    """End point of the path attached to a label: its start point mirrored
-    through the cut line x + y = n + 1, (a, b) -> (n+1-b, n+1-a)."""
+    """End point of the path attached to a label: its start mirrored through
+    the cut line x + y = N + 1, N = n + x: (a, b) -> (N+1-b, N+1-a)."""
     a, b = start_point(spec, label)
-    return (spec.n + 1 - b, spec.n + 1 - a)
+    side = spec.frame_side
+    return (side + 1 - b, side + 1 - a)
 
 
 def cut_line_points(spec: RegionSpec) -> list[Point]:
-    """The ordered endpoint truncation (j, n+1-j), j = -m+1 .. n+m; widening
-    it only adds unreachable points and changes nothing."""
-    n, m = spec.n, spec.m
-    return [(j, n + 1 - j) for j in range(-m + 1, n + m + 1)]
+    """The ordered endpoint truncation (j, N+1-j), j = -m+1 .. N+m, less the
+    x rhombus points j = n/2+1 .. n/2+x, which no path reaches; widening it
+    only adds unreachable points and changes nothing."""
+    side, m, gap = spec.frame_side, spec.m, range(spec.n // 2 + 1, spec.n // 2 + spec.central_x + 1)
+    return [(j, side + 1 - j) for j in range(-m + 1, side + m + 1) if j not in gap]
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +363,19 @@ def brute_force_fixed_families(
 
 
 def left_piece_matrix(spec: RegionSpec, chosen_ranks: Sequence[int]) -> LabeledMatrix:
-    """LGV matrix whose determinant counts tilings of the left piece when
-    the bisected slots at the given ranks (0-based along the axis) carry
-    the forced lozenges of the set S.
+    """LGV matrix whose determinant, times `hole_sign(l)`, counts tilings of
+    the left piece when the bisected slots at the given ranks (0-based along
+    the axis) carry the forced lozenges of the set S.
 
-    The 2m paths run from (i, -i), i = 1..2m, to the unchosen slots
-    (j, n+x-j), whose indices j skip the central gap of width x: 1..m+n/2,
-    then m+n/2+x+1..2m+n+x.  Every entry is the free path count C(n+x, j-i)."""
-    if spec.holes or spec.n % 2:
-        raise ValueError("left_piece_matrix needs a hole-free spec of even n")
-    n, m, x = spec.n, spec.m, spec.central_x
-    half = m + n // 2
-    slots = [j for j in range(1, 2 * m + n + x + 1) if not half < j <= half + x]
-    chosen = set(chosen_ranks)
-    if not len(chosen_ranks) == len(chosen) == n or not all(0 <= r < len(slots) for r in chosen):
-        raise ValueError(f"need {n} distinct ranks below {len(slots)}")
-    starts = [(i, -i) for i in range(1, 2 * m + 1)]
-    ends = [(j, n + x - j) for r, j in enumerate(slots) if r not in chosen]
-    return lgv_matrix(free_path_count, starts, ends)
+    The paths start at the spec's start points.  The slots are the cut line
+    points that are not starts, ranked left to right; the ends are the
+    unchosen slots and the starts on the cut line (the hole k = n/2 when
+    x = 0, two zero-length paths), in cut line order."""
+    starts = [start_point(spec, lab) for lab in endpoint_labels(spec.m, spec.l)]
+    cut = cut_line_points(spec)
+    slots = [p for p in cut if p not in starts]
+    chosen = {slots[r] for r in chosen_ranks if 0 <= r < len(slots)}
+    need = len(cut) - len(starts)
+    if not len(chosen_ranks) == len(chosen) == need:
+        raise ValueError(f"need {need} distinct ranks below {len(slots)}")
+    return lgv_matrix(free_path_count, starts, [p for p in cut if p not in chosen])

@@ -275,7 +275,6 @@ class ReductionCertificate(NamedTuple):
     the fold differs from it, and the first entry where the folded matrix
     breaks its proven blocks (each None when there is none)."""
 
-    passed: bool
     pfaffian: int
     reduced_det: int
     sign: int
@@ -290,7 +289,7 @@ def verify_pfaffian_reduction(a: LabeledMatrix) -> ReductionCertificate:
     The hypotheses are checked and A is folded once.  The reduced block is
     built from the structured data and read out of the fold, and the two
     must agree: a mismatch means the fold or the rearrangement bookkeeping
-    is broken, and fails the certificate."""
+    is broken, and fails the certificate's record."""
     ss = check_hypotheses(a)
     folded = fold_transform(a)
     reduced = reduced_matrix_direct(ss)
@@ -299,7 +298,6 @@ def verify_pfaffian_reduction(a: LabeledMatrix) -> ReductionCertificate:
     det = determinant(reduced)
     sign = hole_sign(ss.l)
     return ReductionCertificate(
-        passed=(pf == sign * det and bad_reduced is None),
         pfaffian=pf,
         reduced_det=det,
         sign=sign,

@@ -211,7 +211,7 @@ def check_pfaffian_determinant(specs: Sequence[RegionSpec], chains: dict | None 
 def check_axis_split(specs: Sequence[RegionSpec], chains: dict | None = None) -> list[dict]:
     """Per-subset split along the perpendicular axis: the squared counts sum
     to the plain count, the counts sum to the symmetric count, and each
-    one-sided count matches its binomial determinant."""
+    one-sided count is hole_sign(l) times its LGV determinant."""
     out = []
     for c in _chains(specs, chains):
         s = c.spec.text()
@@ -219,7 +219,8 @@ def check_axis_split(specs: Sequence[RegionSpec], chains: dict | None = None) ->
         squares = sum(n * n for _, n in table)
         out.append(record(s, "axis-split-squares", squares, c.plain, "sum of squared piece counts", "kasteleyn-det"))
         out.append(record(s, "axis-split-sum", sum(n for _, n in table), c.vsym, "sum of piece counts", "vsym"))
-        bad = next((ranks for ranks, cnt in table if determinant(paths.left_piece_matrix(c.spec, ranks)) != cnt), None)
+        sign = reduction.hole_sign(c.spec.l)
+        bad = next((r for r, cnt in table if sign * determinant(paths.left_piece_matrix(c.spec, r)) != cnt), None)
         out.append(_located_record(s, "axis-split-determinants", bad, "piece determinants", "tiler piece counts", "subset"))
     return out
 
@@ -481,10 +482,7 @@ SUITES = {
     "rhombus-factorization": lambda grid, trials, seed, chains: check_rhombus_factorization(
         _specs(grid, **RHOMBUS_BOUNDS), chains
     ),
-    # the binomial determinants of `paths` reach hole-free specs of even n only
-    "axis-split": lambda grid, trials, seed, chains: check_axis_split(
-        [spec for spec in _specs(grid, **AXIS_SPLIT_BOUNDS) if not spec.holes and spec.n % 2 == 0], chains
-    ),
+    "axis-split": lambda grid, trials, seed, chains: check_axis_split(_specs(grid, **AXIS_SPLIT_BOUNDS), chains),
     "box-product": lambda grid, trials, seed, chains: check_box_product(chains),
     "contiguity": lambda grid, trials, seed, chains: check_contiguity(),
     "oracles": lambda grid, trials, seed, chains: check_oracles(_specs(grid), chains),

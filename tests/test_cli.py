@@ -124,7 +124,7 @@ def test_verify_all_csv_is_one_table(capsys):
     code, out = run(capsys, "verify", "all", *grid, "--format", "csv")
     assert code == 0
     lines = out.splitlines()
-    assert len(lines) == 138
+    assert len(lines) == 144
     assert [line for line in lines if line.startswith("spec,identity,")] == [lines[0]]
     code, out = run(capsys, "verify", "all", *grid)
     records = [json.loads(line) for line in out.splitlines()]
@@ -296,18 +296,17 @@ def test_verify_that_checks_nothing_exits_2(capsys, argv):
     assert json.loads(captured.out) == {"error": captured.err[len("error: ") : -1], "pass": False}
 
 
-def test_axis_split_takes_only_the_hole_free_even_n_specs_of_a_grid(capsys):
-    # odd n and holes in the grid leave the later suites of `verify all` running
-    code, out = run(capsys, "verify", "all", "--grid", "n<=4", "m<=2", "x<=2", "--trials", "3")
+def test_axis_split_takes_every_spec_of_a_grid(capsys):
+    # odd n and holes get their axis split, and the later suites of `verify all` still run
+    code, out = run(capsys, "verify", "all", "--grid", "n<=4", "m<=2", "l<=2", "x<=2", "--trials", "3")
     records = [json.loads(line) for line in out.splitlines()]
     assert code == 0 and all(rec["pass"] for rec in records)
     split_specs = {rec["spec"] for rec in records if rec["identity"].startswith("axis-split")}
-    texts = (RegionSpec(n, m, (), x).text() for n in (2, 4) for m in (1, 2) for x in (0, 1, 2))
-    assert split_specs == set(texts)
+    assert split_specs == {spec.text() for spec in verify.iter_specs(range(1, 5), (1, 2), (0, 1, 2), (0, 1, 2))}
     assert records[-1]["identity"] == "polynomial-in-x"
-    code = main(["verify", "axis-split", "--grid", "n=3 m=1 x=0"])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: verify axis-split checked nothing")
+    code, out = run(capsys, "verify", "axis-split", "--grid", "n=3 m=1 x=0")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and len(records) == 3 and all(rec["pass"] for rec in records)
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from hexholes.paths import (
     reflectable_gf,
     start_point,
 )
-from hexholes.reduction import check_hypotheses, endpoint_labels, hole_sign
+from hexholes.reduction import check_hypotheses, endpoint_labels, hole_sign, minus_label, plus_label
 from hexholes.regions import CapExceeded, RegionSpec, build_region, left_half_free, lower_half_weighted
 from hexholes.tiler import count_free, count_plain, count_weighted2, split_by_axis
 from hexholes.verify import iter_specs
@@ -115,6 +115,19 @@ def test_the_start_points_and_their_mirror_are_the_whole_region_lgv():
     assert len(specs) == 114
     for spec in specs:
         det = determinant(lgv_matrix(free_path_count, *family_points(spec)))
+        assert det == count_plain(build_region(spec)) > 0, spec.text()
+
+
+def test_the_rhombus_points_are_zero_length_paths_of_the_whole_region_lgv():
+    # the rhombus's points (a, N+1-a), a = n/2+1 .. n/2+x, on the cut line
+    # x + y = N + 1 of the frame side N = n + x, both start and end a path
+    specs = iter_specs((2, 4, 6), (1, 2), (0, 1, 2), range(1, 5))
+    assert len(specs) == 104
+    for spec in specs:
+        side = spec.frame_side
+        gap = [(a, side + 1 - a) for a in range(spec.n // 2 + 1, spec.n // 2 + spec.central_x + 1)]
+        starts, ends = family_points(spec)
+        det = determinant(lgv_matrix(free_path_count, starts + gap, ends + gap))
         assert det == count_plain(build_region(spec)) > 0, spec.text()
 
 
@@ -267,17 +280,40 @@ def test_brute_force_families_match_formulas():
         assert weighted == count_weighted2_via_det(spec)
 
 
-def test_left_piece_determinants_match_tiler():
-    for spec in [RegionSpec(2, 1, (), 0), RegionSpec(2, 1, (), 1), RegionSpec(2, 1, (), 2)]:
-        for ranks, cnt in split_by_axis(left_half_free(build_region(spec))):
-            assert determinant(left_piece_matrix(spec, ranks)) == cnt
+def assert_pieces_match_tiler(spec):
+    for ranks, cnt in split_by_axis(left_half_free(build_region(spec))):
+        assert hole_sign(spec.l) * determinant(left_piece_matrix(spec, ranks)) == cnt, (spec.text(), ranks)
+
+
+@st.composite
+def axis_split_specs(draw):
+    n = draw(st.integers(1, 7))
+    holes = tuple(k for k in range(1, n // 2 + 1) if draw(st.booleans()))
+    x = draw(st.integers(0, 2)) if n % 2 == 0 else 0
+    return RegionSpec(n, draw(st.integers(1, 2)), holes, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(axis_split_specs())
+def test_left_piece_determinants_match_tiler(spec):
+    assert_pieces_match_tiler(spec)
+
+
+@pytest.mark.parametrize("spec", [RegionSpec(4, 1, (2,)), RegionSpec(6, 2, (1, 3))], ids=RegionSpec.text)
+def test_a_hole_on_the_cut_line_ends_two_zero_length_paths(spec):
+    # k = n/2 starts both its paths on the cut line x + y = n + 1
+    on_cut = {start_point(spec, minus_label(spec.l)), start_point(spec, plus_label(spec.l))}
+    assert on_cut <= set(cut_line_points(spec))
+    assert_pieces_match_tiler(spec)
 
 
 def test_left_piece_matrix_refuses_too_few_distinct_ranks_or_a_rank_off_the_axis():
-    # n=2 m=1 x=1 has 2m + n = 4 slots, and a tiling crosses n = 2 of them;
-    # (1, 1) has one distinct rank, and (0, 0, 1) has two but lists three
-    spec = RegionSpec(2, 1, (), 1)
-    assert left_piece_matrix(spec, (0, 3)).order == 2
-    for ranks in [(0,), (), (1, 1), (0, 0, 1), (0, 4), (-1, 2)]:
-        with pytest.raises(ValueError, match="need 2 distinct ranks below 4"):
+    # n=6 m=1 k=1,3 has 2m + n = 8 cut line points, two of them the starts of
+    # hole 3, so 6 slots, and a tiling crosses n - 2l = 2 of them; (1, 1) has
+    # one distinct rank, and (0, 0, 1) has two but lists three
+    spec = RegionSpec(6, 1, (1, 3))
+    assert {len(ranks) for ranks, _ in split_by_axis(left_half_free(build_region(spec)))} == {2}
+    assert left_piece_matrix(spec, (0, 5)).order == 6
+    for ranks in [(0,), (), (1, 1), (0, 0, 1), (0, 6), (-1, 2)]:
+        with pytest.raises(ValueError, match="need 2 distinct ranks below 6"):
             left_piece_matrix(spec, ranks)
