@@ -86,12 +86,18 @@ def _enumerated(j: int):
     return lambda c, v: None if c.tally is None else c.tally[j] == v
 
 
+def _half_enumerated(link: str):
+    """The chain's enumeration of a half, where enumeration reaches."""
+    return lambda c, v: None if (e := getattr(c, link)) is None else e == v
+
+
 def _closed_form(check):
     """A check by the paths' closed forms, which take no central rhombus."""
     return lambda c, v: None if c.spec.central_x else check(c, v)
 
 
 _PFAFFIAN = _closed_form(lambda c, v: c.pfaffian == v)
+_FREE_ENUMERATED = _half_enumerated("free_enumerated")
 _WEIGHTED_SPLIT = _closed_form(lambda c, v: v * c.determinant == c.plain)  # M = M_h * W
 
 # class -> (its link of the chain, the engine behind that link, the routes
@@ -100,9 +106,13 @@ _WEIGHTED_SPLIT = _closed_form(lambda c, v: v * c.determinant == c.plain)  # M =
 COUNT_CLASSES = {
     "full": ("plain", "kasteleyn-det", (_enumerated(0),)),
     "hsym": ("upper_count", "half-region kasteleyn-det", (_enumerated(1), _WEIGHTED_SPLIT)),
-    "vsym": ("free", "half-region kasteleyn-pfaffian", (_enumerated(2), _PFAFFIAN)),
-    "free-left": ("free", "kasteleyn-pfaffian", (_PFAFFIAN,)),
-    "weighted-lower": ("weighted", "weighted kasteleyn-det", (_closed_form(lambda c, v: c.determinant == v),)),
+    "vsym": ("free", "half-region kasteleyn-pfaffian", (_enumerated(2), _PFAFFIAN, _FREE_ENUMERATED)),
+    "free-left": ("free", "kasteleyn-pfaffian", (_PFAFFIAN, _FREE_ENUMERATED)),
+    "weighted-lower": (
+        "weighted",
+        "weighted kasteleyn-det",
+        (_closed_form(lambda c, v: c.determinant == v), _half_enumerated("weighted_enumerated")),
+    ),
 }
 
 

@@ -271,10 +271,9 @@ def _path_weight(path: tuple[Point, ...], diagonal: bool) -> int:
 
 class EndlineFamilies(NamedTuple):
     """Brute-force tally of vertex-disjoint families with endpoints chosen
-    from an ordered set: the raw count, the sign-weighted count, and the
-    set of assignment-permutation signs that occurred."""
+    from an ordered set: the sign-weighted count and the set of
+    assignment-permutation signs that occurred."""
 
-    total: int
     signed_total: int
     signs: frozenset[int]
 
@@ -328,7 +327,6 @@ def brute_force_endline_families(
         [(u, path) for u, e in enumerate(ipoints) for path in _monotone_paths(s, e, diagonal=False)]
         for s in starts
     )
-    total = 0
     signed_total = 0
     signs: set[int] = set()
     for chosen_ends in _disjoint_families(options):
@@ -339,9 +337,8 @@ def brute_force_endline_families(
         )
         sign = -1 if inversions % 2 else 1
         signs.add(sign)
-        total += 1
         signed_total += sign
-    return EndlineFamilies(total, signed_total, frozenset(signs))
+    return EndlineFamilies(signed_total, frozenset(signs))
 
 
 def brute_force_fixed_families(

@@ -7,7 +7,7 @@ Two kinds of engine, on arbitrary-precision integers:
   which `intlinalg.exact` reads back exactly.  A tiling is a perfect
   matching between the region's up and down triangles, so with K the
   up/down adjacency matrix, rows and columns in row-major order and
-  signed by `_defect_line`:
+  signed by one line per missing triangle (see `_Frame`):
   - `count_plain` is |det K|, by `intlinalg.det_mod_sparse` under K's
     Hadamard bound;
   - `count_weighted2` is |det K| with entry 2 on each horizontal edge of a
@@ -57,7 +57,6 @@ of tiles covering every triangle of the region exactly once.
 from __future__ import annotations
 
 import math
-import re
 from itertools import accumulate, combinations
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -197,7 +196,24 @@ class _Frame(NamedTuple):
     padding cell.  The other lists run over the present triangles: `at` is
     the frame cell, `up` the orientation, `left`/`right` the row
     neighbours and `below` an up triangle's vertical partner (-1 for a down
-    triangle, and where the partner is absent)."""
+    triangle, and where the partner is absent).
+
+    `flipped` holds the up triangles whose vertical edge the Kasteleyn
+    signing negates.  With every edge +1, a face of the region's graph
+    meets Kasteleyn's cycle rule exactly when it encloses an even number of
+    missing triangles, so each face needs as many negated edges, mod 2, as
+    missing triangles inside it.  From each missing frame triangle t a line
+    runs right along the lattice line of t's horizontal edge, out of the
+    frame, negating each edge it crosses.  It starts at the midpoint of
+    that edge, which no graph edge crosses, t being missing, and the only
+    graph edges that cross a lattice line are the vertical edges of its
+    pairs, the ups of the row above with the downs below them.  So the line
+    crosses a face's boundary an odd number of times exactly when t lies
+    inside the face.  Along a lattice line, a pair with one triangle
+    missing starts a line, one with both missing starts two, which cancel,
+    and one with both present is negated when an odd number of lines start
+    left of it.  A triangle with its horizontal edge on the frame's top or
+    bottom edge lies on the outer face and needs no line."""
 
     lens: list[int]
     offsets: list[int]
@@ -207,6 +223,7 @@ class _Frame(NamedTuple):
     left: list[int]
     right: list[int]
     below: list[int]
+    flipped: set[int]
 
 
 def _frame(region: Region) -> _Frame:
@@ -222,92 +239,23 @@ def _frame(region: Region) -> _Frame:
     lower_start = offsets[side]
     up = [(f + (f >= lower_start)) % 2 == 1 for f in at]
     beneath = [-1] * len(cell)  # up cell -> index of its vertical partner
+    flipped: set[int] = set()
     for i in range(rows - 1):
         first, end = offsets[i] + (i >= side), offsets[i] + lens[i]
         # the partner is in the next row, shifted by half the length change
         start = first + offsets[i + 1] - offsets[i] + (lens[i + 1] - lens[i]) // 2
-        beneath[first:end:2] = cell[start : start + end - first : 2]
+        ups, downs = cell[first:end:2], cell[start : start + end - first : 2]
+        beneath[first:end:2] = downs
+        odd = False  # an odd number of lines start left of the pair
+        for u, d in zip(ups, downs):
+            if (u < 0) != (d < 0):
+                odd = not odd
+            elif odd and u >= 0:
+                flipped.add(u)
     below = [beneath[f] for f in at]
     left = [cell[f - 1] for f in at]
     right = [cell[f + 1] for f in at]
-    return _Frame(lens, offsets, cell, at, up, left, right, below)
-
-
-_MISSING_RUN = re.compile(rb"\x01+")
-
-
-def _defect_line(frame: _Frame) -> set[int]:
-    """Indices of the up triangles whose vertical edge the Kasteleyn
-    signing negates.
-
-    With every edge weighted +1, a face of the honeycomb graph satisfies
-    Kasteleyn's cycle rule exactly when it encloses an even number of
-    missing triangles.  The missing frame triangles, grouped by shared
-    corners, are the faces left by the holes.  For each one of odd size, a
-    line runs from its lowest row's rightmost cell along that row's bottom
-    edge to the frame, crossing the vertical edges of the up triangles to
-    its right.  Negating those edges flips every cycle around the hole and
-    leaves every other face's parity unchanged; where two lines cross the
-    same edge, they cancel.  Holes reaching the frame's last row are part
-    of the outer face and need no line.
-
-    The grouping runs over maximal runs of missing cells along a row.  Row
-    i lies between lines i and i + 1 of lattice points, and each row starts
-    half a unit left of the longer of its two lines; in doubled abscissae,
-    an up cell p has corners p - h and p - h + 2 below it and p - h + 1
-    above it, a down cell the reverse (h is half the row length, rounded
-    up).  So the corners a run touches on each of its two lines form one
-    interval, and two runs share a corner exactly when their intervals on
-    a common line overlap.
-    """
-    lens, offsets, cell = frame.lens, frame.offsets, frame.cell
-    rows = len(lens)
-    side = rows // 2
-    missing = bytearray(b"\x01") * len(cell)
-    for f in frame.at:
-        missing[f] = 0
-    runs: list[tuple[int, int, int]] = []  # (row, first, last position), row-major
-    lines: list[list[tuple[int, int, int]]] = [[] for _ in range(rows + 1)]  # (from, to, run)
-    for i, w in enumerate(lens):
-        base, h, lower = offsets[i], (w + 1) // 2, i >= side
-        for run in _MISSING_RUN.finditer(missing, base, base + w):
-            a, b = run.start() - base, run.end() - 1 - base
-            up_a, up_b = (a + lower) % 2 == 0, (b + lower) % 2 == 0
-            lines[i].append((a - h + up_a, b - h + 2 - up_b, len(runs)))
-            lines[i + 1].append((a - h + 1 - up_a, b - h + 1 + up_b, len(runs)))
-            runs.append((i, a, b))
-    parent = list(range(len(runs)))
-
-    def root(r: int) -> int:
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
-    for line in lines:
-        line.sort()
-        reach = -math.inf
-        for lo, hi, r in line:
-            if lo <= reach:
-                parent[root(r)] = root(group)
-                reach = max(reach, hi)
-            else:
-                group, reach = r, hi
-    odd: dict[int, bool] = {}
-    last: dict[int, tuple[int, int]] = {}  # lowest row, rightmost position there
-    for r, (i, a, b) in enumerate(runs):
-        g = root(r)
-        odd[g] = odd.get(g, False) != ((b - a) % 2 == 0)
-        last[g] = (i, b)
-    flipped: set[int] = set()
-    for g, is_odd in odd.items():
-        low, right = last[g]
-        if not is_odd or low == rows - 1:
-            continue
-        first = right + 1 + (right + 1 + (low >= side)) % 2  # the first up past it
-        base = offsets[low]
-        flipped ^= {cell[base + p] for p in range(first, lens[low], 2) if cell[base + p] >= 0}
-    return flipped
+    return _Frame(lens, offsets, cell, at, up, left, right, below, flipped)
 
 
 def _up_edges(
@@ -315,11 +263,10 @@ def _up_edges(
 ) -> list[tuple[int, dict[int, int]]]:
     """Each up triangle's Kasteleyn-signed edges to its down neighbours,
     as (up index, {column[down index]: weight}), ups in row-major order.
-    An edge weighs 1, a vertical edge that a defect line crosses -1, and
+    An edge weighs 1, the vertical edge of an up in `frame.flipped` -1, and
     with `weighted` each horizontal edge of a special triangle 2; the axis
     lozenge's vertical edge keeps weight 1."""
-    flipped = _defect_line(frame)
-    cell, offsets = frame.cell, frame.offsets
+    cell, offsets, flipped = frame.cell, frame.offsets, frame.flipped
     special = {cell[offsets[i] + p] for i, p in region.special} if weighted else set()
     edges = []
     for j, (is_up, left, right, below) in enumerate(zip(frame.up, frame.left, frame.right, frame.below)):

@@ -174,6 +174,12 @@ def test_count_over_triangle_cap_uses_dp(capsys, cls):
         ("n=10 m=1 k=1,2,3,4,5", "vsym", paths, "count_free_via_pfaffian"),
         ("n=2 m=1 k=1", "free-left", paths, "count_free_via_pfaffian"),
         ("n=2 m=1 k=1", "weighted-lower", paths, "count_weighted2_via_det"),
+        # a rhombus: no closed form, so the enumeration of the half
+        ("n=2 m=1 x=1", "free-left", tiler, "count_via_enumeration"),
+        ("n=2 m=1 x=1", "weighted-lower", tiler, "count_via_enumeration"),
+        ("n=4 m=2 x=1", "vsym", tiler, "count_via_enumeration"),  # past the tally's reach
+        ("n=4 m=2 x=1", "free-left", tiler, "count_via_enumeration"),
+        ("n=4 m=2 x=1", "weighted-lower", tiler, "count_via_enumeration"),
     ],
 )
 def test_each_class_fails_its_crosscheck_when_a_route_is_off(capsys, monkeypatch, spec, cls, module, engine):
@@ -182,6 +188,14 @@ def test_each_class_fails_its_crosscheck_when_a_route_is_off(capsys, monkeypatch
     code, out = run(capsys, "count", *spec.split(), "--class", cls)
     rec = json.loads(out)
     assert code == 1 and rec["crosscheck"] == "MISMATCH" and rec["pass"] is False
+
+
+def test_hole_only_halves_are_not_enumerated(capsys, monkeypatch):
+    # the enumeration of a half is the last route, after the closed forms
+    monkeypatch.setattr(tiler, "count_via_enumeration", lambda region: pytest.fail("enumerated a half"))
+    for cls in ("vsym", "free-left", "weighted-lower"):
+        code, out = run(capsys, "count", "n=4", "m=2", "k=1", "--class", cls)
+        assert code == 0 and json.loads(out)["crosscheck"] == "ok"
 
 
 def test_within_enumeration_reach_the_symmetry_classes_are_checked_by_definition(capsys, monkeypatch):

@@ -217,7 +217,6 @@ def test_two_start_pfaffian_is_a_path_count():
     q = free_endpoint_pfaffian_matrix(starts, ipoints)
     families = brute_force_endline_families(starts, ipoints)
     assert pfaffian_elimination(q) == 3
-    assert families.total == 3
     assert families.signed_total == 3
     assert families.signs == {1}
 
@@ -232,7 +231,7 @@ def test_crossing_forced_family_is_zero():
     assert brute_force_fixed_families([(0, 0), (1, 0)], [(1, 1), (0, 1)]) == 0
 
 
-NO_FAMILY = EndlineFamilies(0, 0, frozenset())
+NO_FAMILY = EndlineFamilies(0, frozenset())
 
 
 def test_a_start_with_no_path_gives_no_family():
@@ -245,7 +244,7 @@ def test_a_start_with_no_path_gives_no_family():
 def test_family_oracles_stop_at_the_cap(monkeypatch):
     # six paths run from (0, 0) to (2, 2)
     monkeypatch.setattr(paths, "FAMILY_CAP", 6)
-    assert brute_force_endline_families([(0, 0)], [(2, 2)]).total == 6
+    assert brute_force_endline_families([(0, 0)], [(2, 2)]).signed_total == 6
     assert brute_force_fixed_families([(0, 0)], [(2, 2)]) == 6
     monkeypatch.setattr(paths, "FAMILY_CAP", 5)
     with pytest.raises(CapExceeded):
@@ -273,8 +272,8 @@ def test_brute_force_families_match_formulas():
     for spec in [RegionSpec(2, 1, (1,)), RegionSpec(3, 1, (1,)), RegionSpec(2, 2)]:
         starts, _ = family_points(spec)
         fam = brute_force_endline_families(starts, cut_line_points(spec))
-        assert fam.total == count_free_via_pfaffian(spec), spec.text()
         assert fam.signs <= {hole_sign(spec.l)}
+        assert hole_sign(spec.l) * fam.signed_total == count_free_via_pfaffian(spec), spec.text()
         labels = diagonal_lgv_matrix(spec).col_labels
         weighted = brute_force_fixed_families(*family_points(spec, labels), diagonal=True)
         assert weighted == count_weighted2_via_det(spec)

@@ -1,4 +1,3 @@
-from collections import defaultdict
 from itertools import combinations
 
 import pytest
@@ -325,7 +324,7 @@ def test_kasteleyn_halves_match_dp_on_random_small_regions(spec):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 6), st.integers(1, 2), st.data())
 def test_kasteleyn_halves_match_dp_around_odd_holes(n, m, data):
-    # a mirror pair of side-s axis triangles: odd s needs the defect line
+    # a mirror pair of side-s axis triangles: odd s needs negated edges
     apex_row = data.draw(st.integers(0, n - 1).map(lambda r: r - r % 2))
     side = data.draw(st.integers(1, n - apex_row))
     region = punch_symmetric_triangle_pair(build_hexagon(n, m), apex_row, side)
@@ -398,51 +397,28 @@ def test_free_count_refuses_layouts_outside_its_sign_argument():
 # the engines' matrices against their tuple-based assembly
 
 
-def _corners(region, t):
-    """Lattice points of t's three corners as (doubled x, line)."""
-    i, p = t
-    left = p - (region.row_len(i) + 1) // 2
-    if region.is_up(t):
-        return ((left, i + 1), (left + 2, i + 1), (left + 1, i))
-    return ((left, i), (left + 2, i), (left + 1, i + 1))
-
-
-def _defect_line_by_tuples(region):
-    """The up triangles whose vertical edge a defect line crosses, from a
-    union-find over every missing frame triangle by shared corners."""
-    missing = [
-        (i, p)
-        for i in range(region.num_rows)
-        for p in range(region.row_len(i))
-        if (i, p) not in region.triangles
-    ]
-    parent = {t: t for t in missing}
-
-    def root(t):
-        while parent[t] != t:
-            t = parent[t]
-        return t
-
-    first_at = {}
-    for t in missing:
-        for corner in _corners(region, t):
-            parent[root(first_at.setdefault(corner, t))] = root(t)
-    holes = defaultdict(list)
-    for t in missing:
-        holes[root(t)].append(t)
+def _flipped_by_tuples(region):
+    """The up triangles whose vertical edge the Kasteleyn signing negates:
+    each row's ups walked left to right with the down below each, where a
+    pair with one triangle missing starts a line and a pair with both
+    present is negated when an odd number of lines start to its left."""
     flipped = set()
-    for cells in holes.values():
-        low = max(i for i, _ in cells)
-        if len(cells) % 2 and low < region.num_rows - 1:
-            right = max(p for i, p in cells if i == low)
-            flipped ^= {
-                (low, p) for p in range(right + 1, region.row_len(low)) if region.is_up((low, p))
-            }
+    for i in range(region.num_rows - 1):
+        odd = False
+        for p in range(region.row_len(i)):
+            t = (i, p)
+            if not region.is_up(t):
+                continue
+            here = t in region.triangles
+            if here != (region.vertical_partner(t) in region.triangles):
+                odd = not odd
+            elif odd and here:
+                flipped.add(t)
     return flipped
 
 
 def _up_edges_by_tuples(region, weighted):
-    flipped = _defect_line_by_tuples(region)
+    flipped = _flipped_by_tuples(region)
     edges = {}
     for t in sorted(region.triangles):
         if region.is_up(t):
@@ -521,15 +497,15 @@ def test_matrices_match_tuple_assembly_on_triangle_pairs():
                         continue  # the pair overlaps its own mirror image
                     _assert_matrices_match_tuples(region)
                     _assert_matrices_match_tuples(upper_half(region))
-                    lined += bool(_defect_line_by_tuples(region))
-    assert lined == 68  # pairs whose holes need a defect line
+                    lined += bool(_flipped_by_tuples(region))
+    assert lined == 108  # pairs whose holes negate an edge
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 2), st.data())
 def test_matrices_match_tuple_assembly_around_random_odd_holes(n, m, data):
-    # missing cells anywhere but the last row, the one row without defect
-    # lines, which stays whole so that its ups may all be free
+    # missing cells anywhere but the last row, which stays whole so that
+    # its ups may all be free
     hexagon = build_hexagon(n, m)
     last = hexagon.num_rows - 1
     inner = sorted(t for t in hexagon.triangles if t[0] < last)
@@ -538,4 +514,10 @@ def test_matrices_match_tuple_assembly_around_random_odd_holes(n, m, data):
     ups = sorted(t for t in region.triangles if region.is_up(t))
     special = data.draw(st.sets(st.sampled_from(ups), min_size=1, max_size=4))
     free = frozenset(t for t in ups if t[0] == last)
-    _assert_matrices_match_tuples(region._replace(special=frozenset(special), free=free))
+    region = region._replace(special=frozenset(special), free=free)
+    _assert_matrices_match_tuples(region)
+    # the tuple assembly states the production signing again, so only the
+    # counts show that it meets Kasteleyn's rule
+    assert count_plain(region) == _profile_dp(region, use_free=False, weighted=False)
+    assert count_weighted2(region) == _profile_dp(region, use_free=False, weighted=True)
+    assert count_free(region) == _profile_dp(region, use_free=True, weighted=False)
