@@ -105,7 +105,11 @@ _WEIGHTED_SPLIT = _closed_form(lambda c, v: v * c.determinant == c.plain)  # M =
 # chain and the value and says whether they agree, or None where it cannot)
 COUNT_CLASSES = {
     "full": ("plain", "kasteleyn-det", (_enumerated(0),)),
-    "hsym": ("upper_count", "half-region kasteleyn-det", (_enumerated(1), _WEIGHTED_SPLIT)),
+    "hsym": (
+        "upper_count",
+        "half-region kasteleyn-det",
+        (_enumerated(1), _WEIGHTED_SPLIT, _half_enumerated("upper_enumerated")),
+    ),
     "vsym": ("free", "half-region kasteleyn-pfaffian", (_enumerated(2), _PFAFFIAN, _FREE_ENUMERATED)),
     "free-left": ("free", "kasteleyn-pfaffian", (_PFAFFIAN, _FREE_ENUMERATED)),
     "weighted-lower": (

@@ -1,15 +1,20 @@
 """Exact integer linear algebra for matrices with symbolic labels.
 
 Everything runs on Python's arbitrary-precision integers; nothing is ever
-rounded.  There is one determinant kernel, `det_mod_sparse`, and one
+rounded.  There are two engines, one per job.  The sparse Kasteleyn
+matrices go through one determinant kernel, `det_mod_sparse`, and one
 Pfaffian kernel, `pfaffian_mod_sparse`: each eliminates a sparse matrix
 modulo a prime.  `exact` turns either into an integer: it runs the kernel
 modulo the smallest prime of `KASTELEYN_PRIMES` above twice a bound on the
-value (Hadamard's, `hadamard_bound`) and reads back the symmetric residue.
-`determinant` and `pfaffian_elimination` are that route for a
-`LabeledMatrix`.  The slow routes the tests compare these against, the
-perfect-matching Pfaffian and the cofactor determinant, are in
-`tests/oracles.py`.
+value (Hadamard's, `hadamard_bound`), reads back the symmetric residue,
+and stops with `CapExceeded` past the largest prime.
+`pfaffian_elimination` is that route for a `LabeledMatrix`.  The small
+dense path matrices, whose entries are thousands of bits wide, go through
+`determinant`, a fraction-free (Bareiss) elimination on the integers
+themselves: it takes no modulus and has no cap, and its value is checked
+against the same Hadamard bound.  The slow routes the tests compare these
+against, the perfect-matching Pfaffian and the cofactor determinant, are
+in `tests/oracles.py`.
 
 Every modulus is a Mersenne number p = 2^e - 1, and the kernels refuse
 any other.  Since 2^e = 1 modulo p, an update x reduces by the fold
@@ -180,11 +185,40 @@ def _require_even_skew(a: LabeledMatrix, what: str) -> None:
 
 
 def determinant(a: LabeledMatrix) -> int:
-    """Exact determinant, rows and columns in label order."""
+    """Exact determinant, rows and columns in label order, by fraction-free
+    (Bareiss) elimination on the integers.
+
+    Step k takes row k as the pivot row, swapping in (and negating the
+    sign for) the first row below it with a nonzero entry in column k
+    where the diagonal holds 0; a column with none gives 0.  Each entry
+    (i, j) below and right of the pivot becomes (a_ij a_kk - a_ik a_kj) / d,
+    d the previous step's pivot (1 at the first).  Each new entry is a
+    minor of the matrix (Bareiss, Math. Comp. 22, 1968), so every division
+    is exact and the last pivot is the determinant; an order-0 matrix
+    gives 1.  The value is checked against Hadamard's bound, which only a
+    faulty elimination can exceed (ArithmeticError)."""
     if a.nrows != a.ncols:
         raise ValueError("determinant needs a square matrix")
-    rows = _nonzero_entries(a)
-    return exact(det_mod_sparse, rows, hadamard_bound(rows))
+    n = a.nrows
+    rows = [row[:] for row in a.rows]
+    sign, previous = 1, 1
+    for k in range(n):
+        if not rows[k][k]:
+            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        p, tail = rows[k][k], rows[k][k + 1 :]
+        for row in rows[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(v * p - f * w) // previous for v, w in zip(row[k + 1 :], tail)]
+        previous = p
+    value = sign * previous
+    bound = hadamard_bound(_nonzero_entries(a))
+    if abs(value) > bound:
+        raise ArithmeticError(f"determinant reached {value}, which exceeds its bound {bound}")
+    return value
 
 
 def pfaffian_elimination(a: LabeledMatrix) -> int:

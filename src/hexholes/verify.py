@@ -120,8 +120,11 @@ class Chain:
     pfaffian = cached_property(lambda self: paths.count_free_via_pfaffian(self.spec))
     determinant = cached_property(lambda self: paths.count_weighted2_via_det(self.spec))
     # the enumeration oracles, each None past its reach: one tally of the
-    # region, (tilings, hsym, vsym), and the counts of its two halves
+    # region, (tilings, hsym, vsym), and the counts of its three halves
     tally = cached_property(lambda self: _oracle(tiler.symmetric_via_enumeration, self.region, lambda: self.plain))
+    upper_enumerated = cached_property(
+        lambda self: _oracle(tiler.count_via_enumeration, self.upper, lambda: self.upper_count)
+    )
     free_enumerated = cached_property(
         lambda self: _oracle(tiler.count_via_enumeration, self.free_half, lambda: self.free)
     )

@@ -12,9 +12,9 @@ computes another way, kept slow and direct on purpose:
   the Pfaffian kernel `intlinalg.pfaffian_mod_sparse`, through
   `intlinalg.pfaffian_elimination` and directly, and the reduction's
   Pfaffian = det identity up to order `MATCHING_PFAFFIAN_MAX_ORDER`.
-* `det_cofactor`, the cofactor expansion, checks the determinant kernel
-  `intlinalg.det_mod_sparse`, through `intlinalg.determinant` and
-  directly, without any division.
+* `det_cofactor`, the cofactor expansion, checks both determinant
+  engines, the fraction-free `intlinalg.determinant` and the kernel
+  `intlinalg.det_mod_sparse`, without any division.
 * `reflectable_gf_dp`, a weighted lattice DP, checks the closed form
   `paths.reflectable_gf`.
 * `from_rows` builds a `LabeledMatrix` labelled by row and column index.
@@ -180,7 +180,7 @@ def pfaffian_by_matchings(a: LabeledMatrix) -> int:
 
 def det_cofactor(rows: Sequence[Sequence[int]]) -> int:
     """Cofactor-expansion determinant; the tests' division-free oracle for
-    the determinant kernel on tiny orders."""
+    both determinant engines on tiny orders."""
     n = len(rows)
     if n == 0:
         return 1

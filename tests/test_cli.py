@@ -180,6 +180,7 @@ def test_count_over_triangle_cap_uses_dp(capsys, cls):
         ("n=4 m=2 x=1", "vsym", tiler, "count_via_enumeration"),  # past the tally's reach
         ("n=4 m=2 x=1", "free-left", tiler, "count_via_enumeration"),
         ("n=4 m=2 x=1", "weighted-lower", tiler, "count_via_enumeration"),
+        ("n=4 m=2 x=2", "hsym", tiler, "count_via_enumeration"),  # the upper half
     ],
 )
 def test_each_class_fails_its_crosscheck_when_a_route_is_off(capsys, monkeypatch, spec, cls, module, engine):
@@ -219,7 +220,8 @@ def test_within_enumeration_reach_the_symmetry_classes_are_checked_by_definition
 def test_vsym_over_triangle_cap_skips_the_plain_count(capsys, monkeypatch, spec, cls, crosscheck, counts_whole_region):
     # 304 and 312 triangles: past the triangle cap the enumeration gate is
     # shut without a plain count; hsym still needs one for M = M_h * W,
-    # which no route checks on a region with a central rhombus
+    # which has no closed form on a region with a central rhombus, and the
+    # upper half of n=6 m=3 x=2 (24,159,720 tilings) is past ENUM_LIMIT
     sizes = []
 
     def recording_count_plain(region):

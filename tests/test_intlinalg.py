@@ -12,6 +12,8 @@ from hexholes.intlinalg import (
     binomial,
     det_mod_sparse,
     determinant,
+    exact,
+    hadamard_bound,
     modulus_above,
     pfaffian_elimination,
     pfaffian_mod_sparse,
@@ -135,10 +137,36 @@ def test_determinant_values():
 
 def test_determinant_matches_cofactor():
     rng = random.Random(17)
-    for n in range(1, 6):
+    for n in range(0, 7):
         for _ in range(30):
-            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            assert determinant(from_rows(rows)) == det_cofactor(rows)
+            dense = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            # mostly zero, so zero pivots force row swaps and whole zero columns occur
+            sparse = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+            for rows in (dense, sparse):
+                assert determinant(from_rows(rows)) == det_cofactor(rows)
+                if n >= 2:
+                    # singular: one row a multiple of another
+                    (i, j), factor = rng.sample(range(n), 2), rng.randint(-3, 3)
+                    singular = [row[:] for row in rows]
+                    singular[i] = [factor * v for v in rows[j]]
+                    assert determinant(from_rows(singular)) == det_cofactor(singular) == 0
+
+
+@st.composite
+def wide_square(draw):
+    """A random square integer matrix of order 0-12 with entries up to
+    2^256 in absolute value, about half of them zero, as dense rows."""
+    n = draw(st.integers(0, 12))
+    entry = st.one_of(st.just(0), st.integers(-(2**256), 2**256))
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+
+
+# the two determinant engines check each other: the fraction-free
+# elimination on the integers and the sparse kernel modulo a prime
+@given(wide_square(), st.sampled_from((2**61 - 1, 2**521 - 1)))
+def test_determinant_agrees_with_det_mod_sparse(rows, prime):
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    assert determinant(from_rows(rows)) % prime == det_mod_sparse(sparse, prime)
 
 
 def test_det_mod_sparse_matches_the_cofactor_expansion():
@@ -177,12 +205,20 @@ def test_sparse_kernels_refuse_a_modulus_that_is_not_mersenne(kernel):
             kernel(rows, modulus)
 
 
+def _kasteleyn_determinant(a):
+    """The determinant by the route the tiler takes for K: the sparse
+    kernel through `exact`, under the matrix's Hadamard bound."""
+    rows = [{c: v for c, v in enumerate(row) if v} for row in a.rows]
+    return exact(intlinalg.det_mod_sparse, rows, hadamard_bound(rows))
+
+
 @pytest.mark.parametrize(
     "exact_value, kernel, rows, value",
     [
-        (determinant, "det_mod_sparse", [[2, 3], [4, 5]], -2),
+        (_kasteleyn_determinant, "det_mod_sparse", [[2, 3], [4, 5]], -2),
         (pfaffian_elimination, "pfaffian_mod_sparse", [[0, 5], [-5, 0]], 5),
     ],
+    ids=["determinant-det_mod_sparse", "pfaffian_elimination-pfaffian_mod_sparse"],
 )
 def test_exact_values_refuse_a_residue_past_their_bound(monkeypatch, exact_value, kernel, rows, value):
     assert exact_value(from_rows(rows)) == value
@@ -192,15 +228,28 @@ def test_exact_values_refuse_a_residue_past_their_bound(monkeypatch, exact_value
         exact_value(from_rows(rows))
 
 
+def test_determinant_refuses_a_value_past_its_bound(monkeypatch):
+    a = from_rows([[2, 3], [4, 5]])
+    assert determinant(a) == -2
+    # a bound below |det| = 2, which only a faulty elimination could reach
+    monkeypatch.setattr(intlinalg, "hadamard_bound", lambda rows: 1)
+    with pytest.raises(ArithmeticError, match="exceeds its bound"):
+        determinant(a)
+
+
 def test_exact_values_past_the_largest_modulus_exceed_the_cap():
     # bounds of 2^12000 and 2^11300: twice either is past 2^11213 - 1
+    wide = from_rows([[2**6000, 0], [0, 2**6000]])
     with pytest.raises(CapExceeded, match="the bound of 12001 bits"):
-        determinant(from_rows([[2**6000, 0], [0, 2**6000]]))
+        _kasteleyn_determinant(wide)
     big = 2**11300
     with pytest.raises(CapExceeded, match="the bound of 11301 bits"):
         pfaffian_elimination(from_rows([[0, big, 0, 0], [-big, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]))
     # a bound of 2^11210 still fits the largest prime
-    assert determinant(from_rows([[2**5605, 0], [0, -(2**5605)]])) == -(2**11210)
+    narrow = from_rows([[2**5605, 0], [0, -(2**5605)]])
+    assert _kasteleyn_determinant(narrow) == determinant(narrow) == -(2**11210)
+    # the dense determinant takes no modulus, so no cap
+    assert determinant(wide) == 2**12000
 
 
 @st.composite

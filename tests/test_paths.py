@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexholes import paths
+from hexholes.closedforms import symmetric_box_tilings
 from hexholes.intlinalg import LabeledMatrix, determinant, pfaffian_elimination
 from hexholes.paths import (
     EndlineFamilies,
@@ -207,6 +208,14 @@ def test_pfaffian_route_matches_tiler():
         assert count_weighted2_via_det(spec) == count_weighted2(
             lower_half_weighted(region)
         )
+
+
+@pytest.mark.parametrize("n, m", [(4, 1), (50, 14), (400, 15)])
+def test_hole_free_weighted_half_is_andrews_count(n, m):
+    # W of the hole-free hexagon is the count of symmetric plane partitions
+    # in an n x n x 2m box; at n=400 m=15 the LGV determinant has 10,932
+    # bits, past the Hadamard bound any modulus of KASTELEYN_PRIMES recovers
+    assert count_weighted2_via_det(RegionSpec(n, m)) == symmetric_box_tilings(n, 2 * m)
 
 
 def test_two_start_pfaffian_is_a_path_count():
