@@ -78,69 +78,13 @@ def emit(records: Iterable[dict], fmt: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# count
-
-
-def _enumerated(j: int):
-    """Entry j of the chain's enumeration tally, where enumeration reaches."""
-    return lambda c, v: None if c.tally is None else c.tally[j] == v
-
-
-def _half_enumerated(link: str):
-    """The chain's enumeration of a half, where enumeration reaches."""
-    return lambda c, v: None if (e := getattr(c, link)) is None else e == v
-
-
-def _closed_form(check):
-    """A check by the paths' closed forms, which take no central rhombus."""
-    return lambda c, v: None if c.spec.central_x else check(c, v)
-
-
-_PFAFFIAN = _closed_form(lambda c, v: c.pfaffian == v)
-_FREE_ENUMERATED = _half_enumerated("free_enumerated")
-_WEIGHTED_SPLIT = _closed_form(lambda c, v: v * c.determinant == c.plain)  # M = M_h * W
-
-# class -> (its link of the chain, the engine behind that link, the routes
-# that cross-check it, tried in order until one reaches: each takes the
-# chain and the value and says whether they agree, or None where it cannot)
-COUNT_CLASSES = {
-    "full": ("plain", "kasteleyn-det", (_enumerated(0),)),
-    "hsym": (
-        "upper_count",
-        "half-region kasteleyn-det",
-        (_enumerated(1), _WEIGHTED_SPLIT, _half_enumerated("upper_enumerated")),
-    ),
-    "vsym": ("free", "half-region kasteleyn-pfaffian", (_enumerated(2), _PFAFFIAN, _FREE_ENUMERATED)),
-    "free-left": ("free", "kasteleyn-pfaffian", (_PFAFFIAN, _FREE_ENUMERATED)),
-    "weighted-lower": (
-        "weighted",
-        "weighted kasteleyn-det",
-        (_closed_form(lambda c, v: c.determinant == v), _half_enumerated("weighted_enumerated")),
-    ),
-}
+# count / verify / polycheck / selftest
 
 
 def cmd_count(args) -> int:
-    spec = RegionSpec.parse(" ".join(args.spec))
-    link, method, routes = COUNT_CLASSES[args.cls]
-    chain = verify.Chain(spec)
-    value = getattr(chain, link)
-    verdict = next((v for v in (route(chain, value) for route in routes) if v is not None), None)
-    crosscheck = {None: "skipped", True: "ok", False: "MISMATCH"}[verdict]
-    rec = {
-        "spec": spec.text(),
-        "class": args.cls,
-        "value": str(value),
-        "method": method,
-        "crosscheck": crosscheck,
-        "pass": crosscheck != "MISMATCH",
-    }
+    rec = verify.count(RegionSpec.parse(" ".join(args.spec)), args.cls)
     emit([rec], args.format)
     return 0 if rec["pass"] else 1
-
-
-# ---------------------------------------------------------------------------
-# verify / polycheck / selftest
 
 
 def cmd_verify(args) -> int:
@@ -226,12 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count tilings of one region")
     p.add_argument("spec", nargs="+", help="region spec tokens, e.g. n=2 m=1 k=1")
-    p.add_argument(
-        "--class",
-        dest="cls",
-        choices=tuple(COUNT_CLASSES),
-        default="full",
-    )
+    p.add_argument("--class", dest="cls", choices=tuple(verify.COUNT_CLASSES), default="full")
     common(p)
     p.set_defaults(func=cmd_count)
 

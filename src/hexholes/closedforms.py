@@ -10,12 +10,20 @@ denominators', which must leave no remainder; nothing is rounded.
 
 from __future__ import annotations
 
-from math import prod
+
+def _product(values: list[int]) -> int:
+    """The product of values, taken pairwise level by level, so that the two
+    sides of each product are about as long."""
+    while len(values) > 1:
+        if len(values) % 2:
+            values.append(1)
+        values = [a * b for a, b in zip(values[::2], values[1::2])]
+    return values[0] if values else 1
 
 
 def _exact_quotient(factors: list[tuple[int, int]], what: str) -> int:
     """prod(p) / prod(q) over the (p, q) factors, which must be an integer."""
-    value, remainder = divmod(prod(p for p, _ in factors), prod(q for _, q in factors))
+    value, remainder = divmod(_product([p for p, _ in factors]), _product([q for _, q in factors]))
     if remainder:
         raise ArithmeticError(f"{what} did not reduce to an integer")
     return value

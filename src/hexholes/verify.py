@@ -100,9 +100,12 @@ def _oracle(enumeration: Callable[[Region], Any], region: Region, count: Callabl
 class Chain:
     """The identity chain of one spec: the region, its halves, the tiler's
     counts, the enumeration oracles and the paths' Pfaffian and
-    determinant, each computed on first use, at most once.  The links live
-    in the instance dict, the spec in a slot, so that the chains of two
-    specs naming one region can share their links (see `_chains`)."""
+    determinant.  Each link is a value, or None where its route does not
+    reach.  The cached links read the region alone and are computed on
+    first use, at most once; they live in the instance dict, the spec in a
+    slot, so that the chains of two specs naming one region can share them
+    (see `_chains`).  The links that read the spec are uncached
+    properties."""
 
     __slots__ = ("spec", "__dict__")
 
@@ -117,11 +120,13 @@ class Chain:
     upper_count = cached_property(lambda self: tiler.count_plain(self.upper))
     free = cached_property(lambda self: tiler.count_free(self.free_half))
     weighted = cached_property(lambda self: tiler.count_weighted2(self.lower))
-    pfaffian = cached_property(lambda self: paths.count_free_via_pfaffian(self.spec))
-    determinant = cached_property(lambda self: paths.count_weighted2_via_det(self.spec))
     # the enumeration oracles, each None past its reach: one tally of the
-    # region, (tilings, hsym, vsym), and the counts of its three halves
+    # region, (tilings, hsym, vsym), read through the three links below,
+    # and the counts of its three halves
     tally = cached_property(lambda self: _oracle(tiler.symmetric_via_enumeration, self.region, lambda: self.plain))
+    enumerated = property(lambda self: None if self.tally is None else self.tally[0])
+    hsym_enumerated = property(lambda self: None if self.tally is None else self.tally[1])
+    vsym_enumerated = property(lambda self: None if self.tally is None else self.tally[2])
     upper_enumerated = cached_property(
         lambda self: _oracle(tiler.count_via_enumeration, self.upper, lambda: self.upper_count)
     )
@@ -131,25 +136,68 @@ class Chain:
     weighted_enumerated = cached_property(
         lambda self: _oracle(tiler.count_via_enumeration, self.lower, lambda: tiler.count_plain(self.lower))
     )
+    # the paths' closed forms read the spec, and take no central rhombus
+    pfaffian = property(lambda self: None if self.spec.central_x else paths.count_free_via_pfaffian(self.spec))
+    determinant = property(lambda self: None if self.spec.central_x else paths.count_weighted2_via_det(self.spec))
 
     # the symmetry classes by definition where enumerable, else by the halves
-    hsym = property(lambda self: self.upper_count if self.tally is None else self.tally[1])
-    vsym = property(lambda self: self.free if self.tally is None else self.tally[2])
+    hsym = property(lambda self: self.upper_count if (e := self.hsym_enumerated) is None else e)
+    vsym = property(lambda self: self.free if (e := self.vsym_enumerated) is None else e)
 
 
 def _chains(specs: Sequence[RegionSpec], chains: dict | None) -> Iterator[Chain]:
     """Each spec's chain.  A run table maps every spec and every region to
     the chain first made for it, and a new spec naming a known region (the
     side-2 rhombus of n, m, k, x=2 is the hole pair n/2 + 1 of the hexagon
-    of side n + 2) shares that chain's links; the paths' links refuse a
-    rhombus spec, so none is computed from the wrong spec.  Without a
-    table, each spec gets a fresh chain, dropped after its loop step."""
+    of side n + 2) shares that chain's cached links, which read the region
+    alone; the links that read the spec are properties, so none is shared.
+    Without a table, each spec gets a fresh chain, dropped after its loop
+    step."""
     for spec in specs:
         chain = Chain(spec) if chains is None else chains.get(spec)
         if chain is None:
             chain = chains[spec] = Chain(spec)
             chain.__dict__ = chains.setdefault(chain.region, chain).__dict__
         yield chain
+
+
+# class -> (the link that gives its value, its engine, the links that check
+# it, read in order until one is not None): a link checks link == value, a
+# pair (whole, factor) checks whole == value * factor (M = M_h * W for hsym)
+COUNT_CLASSES = {
+    "full": ("plain", "kasteleyn-det", ("enumerated",)),
+    "hsym": (
+        "upper_count",
+        "half-region kasteleyn-det",
+        ("hsym_enumerated", ("plain", "determinant"), "upper_enumerated"),
+    ),
+    "vsym": ("free", "half-region kasteleyn-pfaffian", ("vsym_enumerated", "pfaffian", "free_enumerated")),
+    "free-left": ("free", "kasteleyn-pfaffian", ("pfaffian", "free_enumerated")),
+    "weighted-lower": ("weighted", "weighted kasteleyn-det", ("determinant", "weighted_enumerated")),
+}
+
+
+def _verdict(chain: Chain, value: int, check) -> bool | None:
+    """Whether value agrees with one check of COUNT_CLASSES, or None where
+    the check's route does not reach; a pair reads its factor first."""
+    if isinstance(check, str):
+        link = getattr(chain, check)
+        return None if link is None else link == value
+    whole, factor = check
+    link = getattr(chain, factor)
+    return None if link is None else getattr(chain, whole) == value * link
+
+
+def count(spec: RegionSpec, cls: str) -> dict:
+    """The count record of one class of one spec: its value, the engine
+    behind it, and the verdict of the first check that reaches."""
+    link, method, checks = COUNT_CLASSES[cls]
+    chain = Chain(spec)
+    value = getattr(chain, link)
+    verdict = next((v for v in (_verdict(chain, value, check) for check in checks) if v is not None), None)
+    crosscheck = {None: "skipped", True: "ok", False: "MISMATCH"}[verdict]
+    rec = {"spec": spec.text(), "class": cls, "value": str(value), "method": method, "crosscheck": crosscheck}
+    return {**rec, "pass": verdict is not False}
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +228,11 @@ def check_halves(specs: Sequence[RegionSpec], chains: dict | None = None) -> lis
     enumerate."""
     out = []
     for c in _chains(specs, chains):
-        if c.tally is None:
+        if c.enumerated is None:
             continue
-        s = c.spec.text()
-        out.append(record(s, "sym-eq-upper-half", c.tally[1], c.upper_count, "enumeration-filter", "kasteleyn-det"))
-        out.append(record(s, "sym-eq-free-half", c.tally[2], c.free, "enumeration-filter", "kasteleyn-pfaffian"))
+        s, hsym, vsym = c.spec.text(), c.hsym_enumerated, c.vsym_enumerated
+        out.append(record(s, "sym-eq-upper-half", hsym, c.upper_count, "enumeration-filter", "kasteleyn-det"))
+        out.append(record(s, "sym-eq-free-half", vsym, c.free, "enumeration-filter", "kasteleyn-pfaffian"))
     return out
 
 
@@ -204,10 +252,10 @@ def check_pfaffian_determinant(specs: Sequence[RegionSpec], chains: dict | None 
     corresponding tiler count."""
     out = []
     for c in _chains([spec for spec in specs if not spec.central_x], chains):
-        s = c.spec.text()
-        out.append(record(s, "pfaffian-eq-det", c.pfaffian, c.determinant, "signed-pfaffian", "determinant"))
-        out.append(record(s, "pfaffian-eq-tiler", c.pfaffian, c.free, "signed-pfaffian", "kasteleyn-pfaffian"))
-        out.append(record(s, "det-eq-tiler", c.determinant, c.weighted, "determinant", "weighted kasteleyn-det"))
+        s, pf, det = c.spec.text(), c.pfaffian, c.determinant
+        out.append(record(s, "pfaffian-eq-det", pf, det, "signed-pfaffian", "determinant"))
+        out.append(record(s, "pfaffian-eq-tiler", pf, c.free, "signed-pfaffian", "kasteleyn-pfaffian"))
+        out.append(record(s, "det-eq-tiler", det, c.weighted, "determinant", "weighted kasteleyn-det"))
     return out
 
 
@@ -401,8 +449,8 @@ def check_oracles(specs: Sequence[RegionSpec], chains: dict | None = None) -> li
     out = []
     for c in _chains(specs, chains):
         s = c.spec.text()
-        if c.tally is not None:
-            out.append(record(s, "dp-eq-enumeration", c.plain, c.tally[0], "kasteleyn-det", "enumeration"))
+        if c.enumerated is not None:
+            out.append(record(s, "dp-eq-enumeration", c.plain, c.enumerated, "kasteleyn-det", "enumeration"))
         if c.free_enumerated is not None:
             out.append(
                 record(s, "dp-eq-enumeration-free", c.free, c.free_enumerated, "kasteleyn-pfaffian", "enumeration")

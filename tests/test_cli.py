@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import cached_property
 
 import pytest
 
@@ -232,6 +233,44 @@ def test_vsym_over_triangle_cap_skips_the_plain_count(capsys, monkeypatch, spec,
     code, out = run(capsys, "count", *spec.split(), "--class", cls)
     assert code == 0 and json.loads(out)["crosscheck"] == crosscheck
     assert (len(build_region(RegionSpec.parse(spec)).triangles) in sizes) == counts_whole_region
+
+
+# spec -> the values and cross-check verdicts of its classes, in the order
+# of METHODS; between them the specs reach every route: the enumeration
+# tally, the closed forms, the enumeration of a half, and none
+PINNED_COUNTS = {
+    "n=2 m=1": ("20 2 10 10 10", "ok ok ok ok ok"),
+    "n=2 m=1 k=1": ("1 1 1 1 1", "ok ok ok ok ok"),
+    "n=10 m=1 k=1,2,3,4,5": ("1 1 1 1 1", "skipped ok ok ok ok"),
+    "n=2 m=1 x=1": ("85 5 17 17 17", "ok ok ok ok ok"),
+    "n=4 m=2 x=1": ("7017516 594 11814 11814 11814", "skipped ok ok ok ok"),
+    "n=4 m=2 x=2": ("127760633 3157 40469 40469 40469", "skipped ok ok ok ok"),
+    "n=8 m=3 k=2,4": ("54454201488960 1299080 41917512 41917512 41917512", "skipped ok ok ok ok"),
+    "n=6 m=3 x=2": (
+        "43197612797052480 24159720 1788001384 1788001384 1788001384",
+        "skipped skipped skipped skipped skipped",
+    ),
+    "n=12 m=3 k=2,5": (
+        "3400921312243440409496489220 1721615641678 1975424264226990 1975424264226990 1975424264226990",
+        "skipped ok ok ok ok",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", PINNED_COUNTS)
+def test_count_prints_the_pinned_record_of_every_class(capsys, spec):
+    values, crosschecks = (column.split() for column in PINNED_COUNTS[spec])
+    for (cls, method), value, crosscheck in zip(METHODS.items(), values, crosschecks, strict=True):
+        rec = {"class": cls, "crosscheck": crosscheck, "method": method, "pass": True, "spec": spec, "value": value}
+        assert run(capsys, "count", *spec.split(), "--class", cls) == (0, json.dumps(rec, sort_keys=True) + "\n")
+
+
+def test_every_link_a_count_class_names_is_a_chain_link():
+    # so a mistyped link fails here, not only on the specs its route reaches
+    for cls, (link, _, checks) in verify.COUNT_CLASSES.items():
+        for check in (link, *checks):
+            for name in (check,) if isinstance(check, str) else check:
+                assert isinstance(getattr(verify.Chain, name, None), (property, cached_property)), (cls, name)
 
 
 def test_verify_over_triangle_cap(capsys):

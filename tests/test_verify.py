@@ -206,3 +206,28 @@ def test_reduction_compares_the_two_reduced_blocks(monkeypatch):
     }
     # the difference transform reads the block built from the data
     assert bad[1] == good[1]
+
+
+# the side-2 rhombus of n=2 m=1 is the hole pair k=2 of the hexagon n=4 m=1
+RHOMBUS, TWIN = RegionSpec(2, 1, (), 2), RegionSpec(4, 1, (2,))
+
+
+def test_on_a_rhombus_spec_the_closed_form_links_do_not_reach():
+    chain = verify.Chain(RHOMBUS)
+    assert chain.pfaffian is None and chain.determinant is None
+
+
+def test_a_rhombus_and_its_hole_twin_share_the_region_links(monkeypatch):
+    calls = _count_calls(monkeypatch, tiler, "count_plain", "symmetric_via_enumeration")
+    rhombus, twin = verify._chains([RHOMBUS, TWIN], {})
+    assert rhombus.region == twin.region
+    assert rhombus.plain == twin.plain and rhombus.tally is twin.tally is not None
+    assert calls == {"count_plain": 1, "symmetric_via_enumeration": 1}
+
+
+@pytest.mark.parametrize("specs", [(RHOMBUS, TWIN), (TWIN, RHOMBUS)], ids=["rhombus-first", "twin-first"])
+def test_the_twin_reads_its_own_closed_forms_whichever_spec_comes_first(specs):
+    read = {c.spec: (c.pfaffian, c.determinant) for c in verify._chains(specs, {})}
+    assert read[RHOMBUS] == (None, None)
+    assert read[TWIN] == (paths.count_free_via_pfaffian(TWIN), paths.count_weighted2_via_det(TWIN))
+    assert all(isinstance(value, int) for value in read[TWIN])
