@@ -23,7 +23,7 @@ import time
 from typing import Iterable
 
 from . import verify
-from .regions import CapExceeded, RegionSpec
+from .regions import CapExceeded, RegionSpec, parse_int
 
 GRID_TOKEN = re.compile(r"(\w+)\s*(<=|=|in)\s*(\{[^{}]*\}|\S+)")
 
@@ -42,13 +42,14 @@ def parse_grid(text: str) -> dict:
             raise ValueError(f"unknown grid variable {var!r}")
         if _GRID_KEYS[var] in bounds:
             raise ValueError(f"grid variable {var!r} given twice")
+        number = functools.partial(parse_int, match.group(0))
         if op == "<=":
-            values = range(_GRID_MINIMUM[var], int(value) + 1)
+            values = range(_GRID_MINIMUM[var], number(value) + 1)
         elif op == "=":
-            values = (int(value),)
+            values = (number(value),)
         else:
             inner = value.strip("{}")
-            values = tuple(int(part) for part in inner.split(",") if part)
+            values = tuple(number(part) for part in inner.split(",") if part)
         bounds[_GRID_KEYS[var]] = tuple(values)
     if consumed != len(text.replace(" ", "")):
         raise ValueError(f"could not parse grid spec {text!r}")

@@ -40,12 +40,11 @@ from .intlinalg import (
 )
 from .reduction import (
     StructuredSkew,
+    bridge_keys,
     endpoint_labels,
+    hole_keys,
     hole_sign,
-    int_labels,
-    minus_label,
     parse_hole_label,
-    plus_label,
     reduced_labels,
 )
 from .regions import CapExceeded, RegionSpec
@@ -168,35 +167,33 @@ def cut_line_points(spec: RegionSpec) -> list[Point]:
 def endline_skew_matrix(spec: RegionSpec) -> LabeledMatrix:
     """Closed form of the free-endpoint skew matrix for a spec.
 
-    The entries are signed binomial sums (read with signed_range_sum): the
-    band x_d, the bridge y and the hole block z of `StructuredSkew`, which
-    lays them out.  The signed Pfaffian equals the free-boundary
-    half-region count.  Agrees entrywise with free_endpoint_pfaffian_matrix
-    on the truncated cut line.
+    Only the free entries of `StructuredSkew` are computed, as signed
+    binomial sums (read with signed_range_sum): the band x_d, the bridge y
+    over `bridge_keys` and the hole block z over `hole_keys` (0 on
+    plus/plus); `StructuredSkew` fills in the rest.  The signed Pfaffian
+    equals the free-boundary half-region count.  Agrees entrywise with
+    free_endpoint_pfaffian_matrix on the truncated cut line.
     """
     if spec.central_x:
         raise ValueError("endline_skew_matrix needs a rhombus-free spec")
-    n, m, ks = spec.n, spec.m, spec.holes
+    n, m, l, ks = spec.n, spec.m, spec.l, spec.holes
     band = tuple(
         signed_range_sum(lambda r: binomial(2 * n, n + r), 1 - d, d) for d in range(1, 2 * m)
     )
-    y: dict = {}
-    z: dict = {}
-    for t, k in enumerate(ks, start=1):
-        neg, pos = minus_label(t), plus_label(t)
+
+    def y(i: int, label: str) -> int:
+        t, minus = parse_hole_label(label)
+        k = ks[t - 1]
         bridge = lambda r: binomial(2 * n - 2 * k, n - k + r)
-        for i in int_labels(m):
-            y[(i, neg)] = signed_range_sum(bridge, i + 1, -i)
-            y[(i, pos)] = signed_range_sum(bridge, i, 1 - i)
-        for s, k_s in enumerate(ks, start=1):
-            base = 2 * n - 2 * k - 2 * k_s
-            top = n - k - k_s
-            z[(neg, plus_label(s))] = binomial(base, top) + binomial(base, top + 1)
-            z[(plus_label(s), neg)] = -z[(neg, plus_label(s))]
-            if s != t:
-                z[(neg, minus_label(s))] = 0
-                z[(pos, plus_label(s))] = 0
-    return StructuredSkew(m, spec.l, band, y, z).to_matrix()
+        return signed_range_sum(bridge, i + 1, -i) if minus else signed_range_sum(bridge, i, 1 - i)
+
+    def z(a: str, b: str) -> int:
+        (t, minus), (s, _) = parse_hole_label(a), parse_hole_label(b)
+        top = n - ks[t - 1] - ks[s - 1]
+        return binomial(2 * top, top) + binomial(2 * top, top + 1) if minus else 0
+
+    free_y = {key: y(*key) for key in bridge_keys(m, l)}
+    return StructuredSkew(m, l, band, free_y, {key: z(*key) for key in hole_keys(l)}).to_matrix()
 
 
 def count_free_via_pfaffian(spec: RegionSpec) -> int:

@@ -9,13 +9,16 @@ square.  For any such matrix, folding the non-positive rows and columns
 after which the Pfaffian collapses to the determinant of an (m+l) x (m+l)
 block times the sign (-1)^C(l,2).
 
-This module owns that shape: the endpoint and reduced-block labels, the
-sign, and each step made executable and checkable: hypothesis
-verification, the fold and its proven blocks, the reduced block (built two
-independent ways and compared, which is what catches sign/permutation
-slips), the one-pass Pfaffian/determinant certificate, and the
-first-difference transform that carries the reduced block onto the
-diagonal-confined LGV matrix.
+This module owns that shape and states it once: `StructuredSkew` holds
+the free entries (the band, `bridge_keys` and `hole_keys`), and its
+accessors fill in every other entry.  Around it are the endpoint and
+reduced-block labels, the sign, and each step made executable and
+checkable: hypothesis verification (read the free entries off a matrix,
+rebuild it, compare), the fold and its proven blocks, the reduced block
+(built two independent ways and compared, which is what catches
+sign/permutation slips), the one-pass Pfaffian/determinant certificate,
+and the first-difference transform that carries the reduced block onto
+the diagonal-confined LGV matrix.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from .intlinalg import LabeledMatrix, determinant, pfaffian_elimination
 
 
 class StructureError(ValueError):
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
-        self.violations = violations
+    """A matrix off the structured-skew shape: its labels, or its first
+    entry, row by row, that differs from the matrix rebuilt from its free
+    entries, named with its block (band, bridge or hole)."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +83,32 @@ def hole_sign(l: int) -> int:
     return -1 if (l * (l - 1) // 2) % 2 else 1
 
 
-class StructuredSkew(NamedTuple):
-    """The data determining a hypothesis-satisfying skew matrix.
+def bridge_keys(m: int, l: int) -> list[tuple]:
+    """The free entries of the bridge block, hole by hole: (i, t-) for
+    i = 1..m, then (i, t+) for i = 2..m and the unpaired i = 1-m."""
+    return [
+        key
+        for t in range(1, l + 1)
+        for key in [(i, minus_label(t)) for i in range(1, m + 1)]
+        + [(i, plus_label(t)) for i in [*range(2, m + 1), 1 - m]]
+    ]
 
-    band[r-1] holds x_r for r = 1..2m-1 (with x_0 = 0, x_{-r} = -x_r);
-    y maps (integer index, hole label) to the bridge block; z maps ordered
-    hole-label pairs to the hole block.
+
+def hole_keys(l: int) -> list[tuple]:
+    """The free entries of the hole block: each pair (a, b) with a before b
+    in label order, except minus/minus (b is a plus label, from index l on)."""
+    labels = hole_labels(l)
+    return [(a, b) for i, a in enumerate(labels) for b in labels[max(i + 1, l) :]]
+
+
+class StructuredSkew(NamedTuple):
+    """A hypothesis-satisfying skew matrix, held as its free entries.
+
+    band[r-1] holds x_r for r = 1..2m-1; y maps each of `bridge_keys(m, l)`
+    and z each of `hole_keys(l)` to its entry.  The accessors `x`,
+    `bridges` and `hole` are the one statement of the shape: every other
+    entry is its mirror's negative, 0 where an index is its own mirror, its
+    skew partner's negative, or the minus/minus zero.
     """
 
     m: int
@@ -95,88 +118,74 @@ class StructuredSkew(NamedTuple):
     z: dict
 
     def x(self, r: int) -> int:
+        """The band entry x_r: x_0 = 0 and x_{-r} = -x_r."""
         if r == 0:
             return 0
         if r > 0:
             return self.band[r - 1]
         return -self.band[-r - 1]
 
+    def bridges(self) -> dict:
+        """Every bridge entry y[i, lab], i = -m+1..m: the free ones, then
+        y[i, t-] = -y[-i, t-] and y[i, t+] = -y[2-i, t+], 0 where i is its
+        own mirror."""
+        table = dict(self.y)
+        for lab in hole_labels(self.l):
+            minus = parse_hole_label(lab)[1]
+            for i in int_labels(self.m):
+                mirror = -i if minus else 2 - i
+                if (i, lab) not in table:
+                    table[(i, lab)] = 0 if mirror == i else -self.y[(mirror, lab)]
+        return table
+
+    def hole(self, a: str, b: str) -> int:
+        """The hole-block entry (a, b): free, its skew partner's negative,
+        or 0 on the diagonal and the minus/minus square."""
+        if (b, a) in self.z:
+            return -self.z[(b, a)]
+        return self.z.get((a, b), 0)
+
     def to_matrix(self) -> LabeledMatrix:
-        labels = endpoint_labels(self.m, self.l)
-
-        def entry(a, b) -> int:
-            a_int = isinstance(a, int)
-            b_int = isinstance(b, int)
-            if a_int and b_int:
-                return self.x(b - a)
-            if a_int:
-                return self.y[(a, b)]
-            if b_int:
-                return -self.y[(b, a)]
-            return self.z[(a, b)] if a != b else 0
-
-        return LabeledMatrix.build(labels, labels, entry)
+        ints, holes = int_labels(self.m), hole_labels(self.l)
+        y = self.bridges()
+        rows = [[self.x(b - a) for b in ints] + [y[(a, h)] for h in holes] for a in ints]
+        rows += [[-y[(b, a)] for b in ints] + [self.hole(a, h) for h in holes] for a in holes]
+        return LabeledMatrix(ints + holes, ints + holes, rows)
 
 
 def _split_labels(a: LabeledMatrix) -> tuple[int, int]:
-    ints = [lab for lab in a.row_labels if isinstance(lab, int)]
-    holes = [lab for lab in a.row_labels if not isinstance(lab, int)]
-    m = len(ints) // 2
-    l = len(holes) // 2
+    ints = sum(isinstance(lab, int) for lab in a.row_labels)
+    m, l = ints // 2, (len(a.row_labels) - ints) // 2
     if m < 1 or list(a.row_labels) != endpoint_labels(m, l):
-        raise StructureError(["labels are not -m+1..m, 1-..l-, 1+..l+ in order"])
+        raise StructureError("labels are not -m+1..m, 1-..l-, 1+..l+ in order")
     if a.row_labels != a.col_labels:
-        raise StructureError(["row and column labels differ"])
+        raise StructureError("row and column labels differ")
     return m, l
 
 
 def check_hypotheses(a: LabeledMatrix) -> StructuredSkew:
     """Verify the structural hypotheses and return the structured view.
 
-    Raises StructureError carrying one message per violated hypothesis:
-    broken skew-symmetry, a non-Toeplitz band entry, either bridge
-    antisymmetry, or a nonzero minus/minus hole entry.
+    The free entries are read off A (the band along its first row) and the
+    matrix is rebuilt from them; A must equal it.  Otherwise StructureError
+    names the first differing entry, row by row, and its block.
     """
     m, l = _split_labels(a)
-    violations = list(a.skew_violations())
-    ints = int_labels(m)
-
     base = -m + 1
-    band = [a.get(base, base + d) for d in range(1, 2 * m)]
-    for i in ints:
-        for j in ints:
-            d = j - i
-            want = band[d - 1] if d >= 1 else (-band[-d - 1] if d <= -1 else 0)
-            if a.get(i, j) != want:
-                violations.append(f"band block is not Toeplitz at ({i}, {j})")
-
-    y = {}
-    for i in ints:
-        for lab in hole_labels(l):
-            y[(i, lab)] = a.get(i, lab)
-    for t in range(1, l + 1):
-        neg, pos = minus_label(t), plus_label(t)
-        for i in ints:
-            if -i in ints and y[(i, neg)] != -y[(-i, neg)]:
-                violations.append(f"bridge rule y[i,{neg}] = -y[-i,{neg}] fails at i={i}")
-            if 2 - i in ints and y[(i, pos)] != -y[(2 - i, pos)]:
-                violations.append(f"bridge rule y[i,{pos}] = -y[2-i,{pos}] fails at i={i}")
-
-    z = {}
-    for ha in hole_labels(l):
-        for hb in hole_labels(l):
-            if ha != hb:
-                z[(ha, hb)] = a.get(ha, hb)
-    for t in range(1, l + 1):
-        for s in range(1, l + 1):
-            if t != s and z[(minus_label(t), minus_label(s))] != 0:
-                violations.append(
-                    f"hole block entry ({minus_label(t)}, {minus_label(s)}) must vanish"
-                )
-
-    if violations:
-        raise StructureError(violations)
-    return StructuredSkew(m=m, l=l, band=tuple(band), y=y, z=z)
+    ss = StructuredSkew(
+        m=m,
+        l=l,
+        band=tuple(a.get(base, base + d) for d in range(1, 2 * m)),
+        y={key: a.get(*key) for key in bridge_keys(m, l)},
+        z={key: a.get(*key) for key in hole_keys(l)},
+    )
+    rebuilt = ss.to_matrix()
+    if a.rows != rebuilt.rows:
+        r, c = first_differing_entry(a, rebuilt)
+        block = ("hole", "bridge", "band")[isinstance(r, int) + isinstance(c, int)]
+        found, want = a.get(r, c), rebuilt.get(r, c)
+        raise StructureError(f"{block} block entry ({r}, {c}) is {found}, the structure gives {want}")
+    return ss
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +249,14 @@ def reduced_matrix_direct(ss: StructuredSkew) -> LabeledMatrix:
     """The half-size block straight from the structured data: band sums in
     the top-left, folded bridge columns, negated bridge rows, hole block."""
     rows, cols = reduced_labels(ss.m, ss.l)
+    y = ss.bridges()
 
     def entry(r, c) -> int:
-        r_int = isinstance(r, int)
-        c_int = isinstance(c, int)
-        if r_int and c_int:
-            return sum(ss.x(d) for d in range(abs(c - r) + 1, r + c, 2))
-        if r_int:
-            return ss.y[(1 - r, c)]
-        if c_int:
-            return -ss.y[(c, r)]
-        return ss.z[(r, c)]
+        if isinstance(r, int):
+            if isinstance(c, int):
+                return sum(ss.x(d) for d in range(abs(c - r) + 1, r + c, 2))
+            return y[(1 - r, c)]
+        return -y[(c, r)] if isinstance(c, int) else ss.hole(r, c)
 
     return LabeledMatrix.build(rows, cols, entry)
 
@@ -325,57 +331,9 @@ def difference_transform(b: LabeledMatrix) -> LabeledMatrix:
 
 
 def random_structured(rng: random.Random, m: int, l: int) -> StructuredSkew:
-    """A random hypothesis-satisfying instance: free parameters uniform in
-    [-9, 9], constrained entries filled in from the antisymmetries.
-
-    Free parameters: the whole band; y[1..m, t-] (y[0, t-] = 0 and
-    negatives mirror); y[2..m, t+] and the lone unpaired y[1-m, t+]
-    (y[1, t+] = 0, the rest mirror through i -> 2-i); all minus/plus hole
-    entries and the strict upper plus/plus triangle.
-    """
+    """A random hypothesis-satisfying instance: each free entry uniform in
+    [-9, 9], drawn in the order band, `bridge_keys`, `hole_keys`."""
     draw = lambda: rng.randint(-9, 9)
     band = tuple(draw() for _ in range(2 * m - 1))
-    ints = int_labels(m)
-
-    y: dict = {}
-    for t in range(1, l + 1):
-        neg = minus_label(t)
-        vals = {i: draw() for i in range(1, m + 1)}
-        for i in ints:
-            if i >= 1:
-                y[(i, neg)] = vals[i]
-            elif i == 0:
-                y[(i, neg)] = 0
-            else:
-                y[(i, neg)] = -vals[-i]
-        pos = plus_label(t)
-        high = {i: draw() for i in range(2, m + 1)}
-        for i in ints:
-            if i == 1:
-                y[(i, pos)] = 0
-            elif i >= 2:
-                y[(i, pos)] = high[i]
-            elif i >= 2 - m:
-                y[(i, pos)] = -high[2 - i]
-            else:  # i == 1 - m, unpaired
-                y[(i, pos)] = draw()
-
-    z: dict = {}
-    minus = [minus_label(t) for t in range(1, l + 1)]
-    plus = [plus_label(t) for t in range(1, l + 1)]
-    for a_lab in minus:
-        for b_lab in minus:
-            if a_lab != b_lab:
-                z[(a_lab, b_lab)] = 0
-    for a_lab in minus:
-        for b_lab in plus:
-            v = draw()
-            z[(a_lab, b_lab)] = v
-            z[(b_lab, a_lab)] = -v
-    for ti in range(l):
-        for si in range(ti + 1, l):
-            v = draw()
-            z[(plus[ti], plus[si])] = v
-            z[(plus[si], plus[ti])] = -v
-
-    return StructuredSkew(m=m, l=l, band=band, y=y, z=z)
+    y = {key: draw() for key in bridge_keys(m, l)}
+    return StructuredSkew(m=m, l=l, band=band, y=y, z={key: draw() for key in hole_keys(l)})

@@ -35,6 +35,15 @@ from .intlinalg import CapExceeded
 Triangle = tuple[int, int]
 
 
+def parse_int(token: str, text: str) -> int:
+    """int(text), where text is read from the input token `token`; a
+    ValueError naming both when it is not an integer."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{token}: {text!r} is not an integer") from None
+
+
 class _SpecFields(NamedTuple):
     n: int
     m: int
@@ -111,14 +120,16 @@ class RegionSpec(_SpecFields):
             raise ValueError(f"unknown keys {sorted(unknown)}")
         if "n" not in fields or "m" not in fields:
             raise ValueError("both n= and m= are required")
+        fields.setdefault("x", "0")
+        number = lambda key, text: parse_int(f"{key}={fields[key]}", text)
         holes: tuple[int, ...] = ()
         if fields.get("k"):
-            holes = tuple(int(part) for part in fields["k"].split(","))
+            holes = tuple(number("k", part) for part in fields["k"].split(","))
         return cls(
-            n=int(fields["n"]),
-            m=int(fields["m"]),
+            n=number("n", fields["n"]),
+            m=number("m", fields["m"]),
             holes=holes,
-            central_x=int(fields.get("x", "0")),
+            central_x=number("x", fields["x"]),
         )
 
 

@@ -140,6 +140,24 @@ def test_bad_spec_exits_nonzero(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "n=2", "m=1", "k=1,"], "k=1,: '' is not an integer"),
+        (["count", "n=a", "m=1"], "n=a: 'a' is not an integer"),
+        (["count", "n=2", "m=1", "x=q"], "x=q: 'q' is not an integer"),
+        (["verify", "reduction-chain", "--grid", "n<=a"], "n<=a: 'a' is not an integer"),
+        (["verify", "reduction-chain", "--grid", "n in {2,b}"], "n in {2,b}: 'b' is not an integer"),
+        (["verify", "reduction-chain", "--grid", "m=1 n=c"], "n=c: 'c' is not an integer"),
+    ],
+)
+def test_a_value_that_is_not_an_integer_names_its_key(capsys, argv, message):
+    code = main([*argv, "--format", "text"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 METHODS = {
     "full": "kasteleyn-det",
     "hsym": "half-region kasteleyn-det",

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from hexholes import paths
 from hexholes.closedforms import symmetric_box_tilings
-from hexholes.intlinalg import LabeledMatrix, determinant, pfaffian_elimination
+from hexholes.intlinalg import LabeledMatrix, binomial, determinant, pfaffian_elimination, signed_range_sum
 from hexholes.paths import (
     EndlineFamilies,
     brute_force_endline_families,
@@ -21,7 +21,16 @@ from hexholes.paths import (
     reflectable_gf,
     start_point,
 )
-from hexholes.reduction import check_hypotheses, endpoint_labels, hole_sign, minus_label, plus_label
+from hexholes.reduction import (
+    check_hypotheses,
+    endpoint_labels,
+    hole_labels,
+    hole_sign,
+    int_labels,
+    minus_label,
+    parse_hole_label,
+    plus_label,
+)
 from hexholes.regions import CapExceeded, RegionSpec, build_region, left_half_free, lower_half_weighted
 from hexholes.tiler import count_free, count_plain, count_weighted2, split_by_axis
 from hexholes.verify import iter_specs
@@ -168,6 +177,22 @@ def test_closed_skew_matrix_matches_double_sums():
         generic = free_endpoint_pfaffian_matrix(starts, cut_line_points(spec))
         assert generic == double_sum_matrix(starts, cut_line_points(spec)), spec.text()
         assert closed.rows == generic.rows, spec.text()
+
+
+def test_closed_bridge_formula_obeys_the_bridge_antisymmetries():
+    # endline_skew_matrix computes only the free bridge entries; the signed
+    # binomial sums it reads there hold at every mirrored entry too, which is
+    # what lets the bridge accessor fill those in
+    for spec in iter_specs(range(1, 7), (1, 2, 3), (0, 1, 2)):
+        n = spec.n
+        bridges = check_hypotheses(endline_skew_matrix(spec)).bridges()
+        for lab in hole_labels(spec.l):
+            t, minus = parse_hole_label(lab)
+            k = spec.holes[t - 1]
+            bridge = lambda r: binomial(2 * n - 2 * k, n - k + r)
+            for i in int_labels(spec.m):
+                want = signed_range_sum(bridge, i + 1, -i) if minus else signed_range_sum(bridge, i, 1 - i)
+                assert bridges[(i, lab)] == want, (spec.text(), i, lab)
 
 
 @st.composite
