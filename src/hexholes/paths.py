@@ -19,6 +19,15 @@ rhombus points, which no path reaches).  Two generic builders read it:
 one LGV builder `lgv_matrix`, given a single-path count, for fixed ends,
 which the axis split's `left_piece_matrix` feeds.
 
+Two routes read the picture alone, with no closed form, so they reach
+every spec, rhombus included: `count_plain_via_lgv`, the whole region's
+count M as the LGV determinant of free paths from each start to its
+mirror, the rhombus points (j, N+1-j), j = n/2+1 .. n/2+x, taken as
+zero-length paths, and `count_upper_via_lgv`, the upper half's count M_h,
+the same over the starts with x < y, its paths kept off x = y by the
+reflection principle.  Both determinants are fraction-free
+(`intlinalg.determinant`), with no modulus and no cap.
+
 Conventions: points are (x, y) on the integer lattice, steps go right or
 up.  A start on the cut line admits only the empty path, since steps
 strictly increase x + y.
@@ -144,20 +153,66 @@ def start_point(spec: RegionSpec, label) -> Point:
     return (k + 1, k)
 
 
+def _mirror(spec: RegionSpec, point: Point) -> Point:
+    """A point mirrored through the cut line x + y = N + 1, N = n + x:
+    (a, b) -> (N+1-b, N+1-a)."""
+    side = spec.frame_side
+    return (side + 1 - point[1], side + 1 - point[0])
+
+
 def end_point(spec: RegionSpec, label) -> Point:
     """End point of the path attached to a label: its start mirrored through
-    the cut line x + y = N + 1, N = n + x: (a, b) -> (N+1-b, N+1-a)."""
-    a, b = start_point(spec, label)
-    side = spec.frame_side
-    return (side + 1 - b, side + 1 - a)
+    the cut line."""
+    return _mirror(spec, start_point(spec, label))
+
+
+def _rhombus_columns(spec: RegionSpec) -> range:
+    """The x columns j = n/2+1 .. n/2+x of the rhombus points (j, N+1-j)."""
+    return range(spec.n // 2 + 1, spec.n // 2 + spec.central_x + 1)
 
 
 def cut_line_points(spec: RegionSpec) -> list[Point]:
     """The ordered endpoint truncation (j, N+1-j), j = -m+1 .. N+m, less the
-    x rhombus points j = n/2+1 .. n/2+x, which no path reaches; widening it
-    only adds unreachable points and changes nothing."""
-    side, m, gap = spec.frame_side, spec.m, range(spec.n // 2 + 1, spec.n // 2 + spec.central_x + 1)
+    x rhombus points, which no path reaches; widening it only adds
+    unreachable points and changes nothing."""
+    side, m, gap = spec.frame_side, spec.m, _rhombus_columns(spec)
     return [(j, side + 1 - j) for j in range(-m + 1, side + m + 1) if j not in gap]
+
+
+# ---------------------------------------------------------------------------
+# the whole region and its upper half as fixed-endpoint families
+
+
+def _region_starts(spec: RegionSpec) -> list[Point]:
+    """The starts of the whole region's paths: each endpoint label's start,
+    then the rhombus points, each its own mirror, so a zero-length path that
+    the others must avoid."""
+    side = spec.frame_side
+    labelled = [start_point(spec, lab) for lab in endpoint_labels(spec.m, spec.l)]
+    return labelled + [(j, side + 1 - j) for j in _rhombus_columns(spec)]
+
+
+def count_plain_via_lgv(spec: RegionSpec) -> int:
+    """The whole region's tiling count M, as the LGV determinant of free
+    paths from each start of `_region_starts` to its mirror."""
+    starts = _region_starts(spec)
+    return determinant(lgv_matrix(free_path_count, starts, [_mirror(spec, p) for p in starts]))
+
+
+def _off_diagonal_path_count(a: Point, b: Point) -> int:
+    """Monotone paths a -> b that never touch x = y, for a and b above it:
+    by reflection, the paths that touch it are as many as all the paths from
+    a's mirror image (a_y, a_x) to b."""
+    return free_path_count(a, b) - free_path_count((a[1], a[0]), b)
+
+
+def count_upper_via_lgv(spec: RegionSpec) -> int:
+    """The upper half's tiling count M_h, as the LGV determinant of the
+    paths of `_region_starts` that start above the diagonal (x < y), each
+    to its mirror, counting only the paths that never touch x = y.  The
+    variant that lets them touch it differs on nearly every spec."""
+    starts = [p for p in _region_starts(spec) if p[0] < p[1]]
+    return determinant(lgv_matrix(_off_diagonal_path_count, starts, [_mirror(spec, p) for p in starts]))
 
 
 # ---------------------------------------------------------------------------

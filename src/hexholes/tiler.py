@@ -26,8 +26,10 @@ Two kinds of engine, on arbitrary-precision integers:
   fixes.
 
 A free up triangle may be left to a half lozenge, an unmatched vertex of
-the matching.  A is skew, on every triangle in row-major order plus a pad
-vertex z when that order is odd: A[u, d] = K[u, d] = -A[d, u] for an up u
+the matching.  A is skew, on every triangle plus a pad vertex z when their
+number is odd, labelled ups first, then downs, each in row-major order,
+and z last (a relabelling changes only the sign of Pf A, and ups first
+makes the elimination faster): A[u, d] = K[u, d] = -A[d, u] for an up u
 and a down d, and among the free ups f_0, f_1, ..., taken left to right
 with z last, A[f_r, f_s] = (-1)^(r+s) for r < s.  Why these signs are
 uniform: expand Pf A over the set S of free ups (and z) that a term leaves
@@ -339,12 +341,16 @@ def count_free(region: Region) -> int:
     frame = _frame(region)
     count = len(frame.at)
     size = count + count % 2  # the pad vertex z, when the order is odd
+    # the ups take the first labels, then the downs, each in row-major order
+    before = list(accumulate(frame.up, initial=0))  # the ups before each index
+    label = [b if is_up else before[-1] + j - b for j, (b, is_up) in enumerate(zip(before, frame.up))]
     rows: list[dict[int, int]] = [{} for _ in range(size)]
-    for u, row in _up_edges(region, frame, False, range(count)):
+    for j, row in _up_edges(region, frame, False, label):
+        u = label[j]
         rows[u] = row
         for d, w in row.items():
             rows[d][u] = -w
-    free = [frame.cell[frame.offsets[i] + p] for i, p in _free_ups(region)] + list(range(count, size))
+    free = [label[frame.cell[frame.offsets[i] + p]] for i, p in _free_ups(region)] + list(range(count, size))
     for r, s in combinations(range(len(free)), 2):
         sign = -1 if (r + s) % 2 else 1
         rows[free[r]][free[s]] = sign

@@ -99,8 +99,8 @@ def _oracle(enumeration: Callable[[Region], Any], region: Region, count: Callabl
 
 class Chain:
     """The identity chain of one spec: the region, its halves, the tiler's
-    counts, the enumeration oracles and the paths' Pfaffian and
-    determinant.  Each link is a value, or None where its route does not
+    counts, the enumeration oracles, and the paths' Pfaffian, determinant
+    and LGV routes.  Each link is a value, or None where its route does not
     reach.  The cached links read the region alone and are computed on
     first use, at most once; they live in the instance dict, the spec in a
     slot, so that the chains of two specs naming one region can share them
@@ -122,14 +122,11 @@ class Chain:
     weighted = cached_property(lambda self: tiler.count_weighted2(self.lower))
     # the enumeration oracles, each None past its reach: one tally of the
     # region, (tilings, hsym, vsym), read through the three links below,
-    # and the counts of its three halves
+    # and the counts of its free and weighted halves
     tally = cached_property(lambda self: _oracle(tiler.symmetric_via_enumeration, self.region, lambda: self.plain))
     enumerated = property(lambda self: None if self.tally is None else self.tally[0])
     hsym_enumerated = property(lambda self: None if self.tally is None else self.tally[1])
     vsym_enumerated = property(lambda self: None if self.tally is None else self.tally[2])
-    upper_enumerated = cached_property(
-        lambda self: _oracle(tiler.count_via_enumeration, self.upper, lambda: self.upper_count)
-    )
     free_enumerated = cached_property(
         lambda self: _oracle(tiler.count_via_enumeration, self.free_half, lambda: self.free)
     )
@@ -139,6 +136,9 @@ class Chain:
     # the paths' closed forms read the spec, and take no central rhombus
     pfaffian = property(lambda self: None if self.spec.central_x else paths.count_free_via_pfaffian(self.spec))
     determinant = property(lambda self: None if self.spec.central_x else paths.count_weighted2_via_det(self.spec))
+    # the path routes read the spec too, and reach every spec
+    path_plain = property(lambda self: paths.count_plain_via_lgv(self.spec))
+    path_upper = property(lambda self: paths.count_upper_via_lgv(self.spec))
 
     # the symmetry classes by definition where enumerable, else by the halves
     hsym = property(lambda self: self.upper_count if (e := self.hsym_enumerated) is None else e)
@@ -162,30 +162,14 @@ def _chains(specs: Sequence[RegionSpec], chains: dict | None) -> Iterator[Chain]
 
 
 # class -> (the link that gives its value, its engine, the links that check
-# it, read in order until one is not None): a link checks link == value, a
-# pair (whole, factor) checks whole == value * factor (M = M_h * W for hsym)
+# it, read in order until one is not None, each by link == value)
 COUNT_CLASSES = {
-    "full": ("plain", "kasteleyn-det", ("enumerated",)),
-    "hsym": (
-        "upper_count",
-        "half-region kasteleyn-det",
-        ("hsym_enumerated", ("plain", "determinant"), "upper_enumerated"),
-    ),
+    "full": ("plain", "kasteleyn-det", ("enumerated", "path_plain")),
+    "hsym": ("upper_count", "half-region kasteleyn-det", ("hsym_enumerated", "path_upper")),
     "vsym": ("free", "half-region kasteleyn-pfaffian", ("vsym_enumerated", "pfaffian", "free_enumerated")),
     "free-left": ("free", "kasteleyn-pfaffian", ("pfaffian", "free_enumerated")),
     "weighted-lower": ("weighted", "weighted kasteleyn-det", ("determinant", "weighted_enumerated")),
 }
-
-
-def _verdict(chain: Chain, value: int, check) -> bool | None:
-    """Whether value agrees with one check of COUNT_CLASSES, or None where
-    the check's route does not reach; a pair reads its factor first."""
-    if isinstance(check, str):
-        link = getattr(chain, check)
-        return None if link is None else link == value
-    whole, factor = check
-    link = getattr(chain, factor)
-    return None if link is None else getattr(chain, whole) == value * link
 
 
 def count(spec: RegionSpec, cls: str) -> dict:
@@ -194,7 +178,8 @@ def count(spec: RegionSpec, cls: str) -> dict:
     link, method, checks = COUNT_CLASSES[cls]
     chain = Chain(spec)
     value = getattr(chain, link)
-    verdict = next((v for v in (_verdict(chain, value, check) for check in checks) if v is not None), None)
+    reached = (v for v in (getattr(chain, check) for check in checks) if v is not None)
+    verdict = next((v == value for v in reached), None)
     crosscheck = {None: "skipped", True: "ok", False: "MISMATCH"}[verdict]
     rec = {"spec": spec.text(), "class": cls, "value": str(value), "method": method, "crosscheck": crosscheck}
     return {**rec, "pass": verdict is not False}

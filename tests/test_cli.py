@@ -175,11 +175,9 @@ def test_count_over_triangle_cap_uses_dp(capsys, cls):
     assert code == 0 and rec["pass"] is True
     assert rec["value"] == "1"
     assert rec["method"] == METHODS[cls]
-    if cls == "full":
-        assert rec["crosscheck"] == "skipped"
-    else:
-        # hole-only: the closed forms check the halves and M = M_h * W
-        assert rec["crosscheck"] == "ok"
+    # the path routes check the whole region and the upper half, the closed
+    # forms the free and weighted halves
+    assert rec["crosscheck"] == "ok"
 
 
 @pytest.mark.parametrize(
@@ -188,8 +186,9 @@ def test_count_over_triangle_cap_uses_dp(capsys, cls):
         ("n=2 m=1", "full", tiler, "count_plain"),  # against the enumeration tally
         ("n=2 m=1", "hsym", tiler, "count_plain"),
         ("n=2 m=1", "vsym", tiler, "count_free"),
-        # past the triangle cap: M = M_h * W, and the Pfaffian
-        ("n=10 m=1 k=1,2,3,4,5", "hsym", paths, "count_weighted2_via_det"),
+        # past the triangle cap: the path routes, and the Pfaffian
+        ("n=10 m=1 k=1,2,3,4,5", "full", paths, "count_plain_via_lgv"),
+        ("n=10 m=1 k=1,2,3,4,5", "hsym", paths, "count_upper_via_lgv"),
         ("n=10 m=1 k=1,2,3,4,5", "vsym", paths, "count_free_via_pfaffian"),
         ("n=2 m=1 k=1", "free-left", paths, "count_free_via_pfaffian"),
         ("n=2 m=1 k=1", "weighted-lower", paths, "count_weighted2_via_det"),
@@ -199,7 +198,9 @@ def test_count_over_triangle_cap_uses_dp(capsys, cls):
         ("n=4 m=2 x=1", "vsym", tiler, "count_via_enumeration"),  # past the tally's reach
         ("n=4 m=2 x=1", "free-left", tiler, "count_via_enumeration"),
         ("n=4 m=2 x=1", "weighted-lower", tiler, "count_via_enumeration"),
-        ("n=4 m=2 x=2", "hsym", tiler, "count_via_enumeration"),  # the upper half
+        # the path routes reach a rhombus too
+        ("n=4 m=2 x=2", "full", paths, "count_plain_via_lgv"),
+        ("n=4 m=2 x=2", "hsym", paths, "count_upper_via_lgv"),
     ],
 )
 def test_each_class_fails_its_crosscheck_when_a_route_is_off(capsys, monkeypatch, spec, cls, module, engine):
@@ -219,7 +220,9 @@ def test_hole_only_halves_are_not_enumerated(capsys, monkeypatch):
 
 
 def test_within_enumeration_reach_the_symmetry_classes_are_checked_by_definition(capsys, monkeypatch):
-    # the enumeration tally is the first route; the closed forms are not asked
+    # the enumeration tally is the first route; the path routes and the
+    # closed forms are not asked
+    monkeypatch.setattr(paths, "count_upper_via_lgv", lambda spec: pytest.fail("asked the upper path route"))
     monkeypatch.setattr(paths, "count_weighted2_via_det", lambda spec: pytest.fail("asked the determinant"))
     monkeypatch.setattr(paths, "count_free_via_pfaffian", lambda spec: pytest.fail("asked the Pfaffian"))
     for cls in ("hsym", "vsym"):
@@ -230,17 +233,16 @@ def test_within_enumeration_reach_the_symmetry_classes_are_checked_by_definition
 @pytest.mark.parametrize(
     "spec, cls, crosscheck, counts_whole_region",
     [
-        ("n=8 m=3 k=2,4", "hsym", "ok", True),
+        ("n=8 m=3 k=2,4", "hsym", "ok", False),
         ("n=8 m=3 k=2,4", "vsym", "ok", False),
-        ("n=6 m=3 x=2", "hsym", "skipped", False),
+        ("n=6 m=3 x=2", "hsym", "ok", False),
     ],
-    ids=["hsym-True", "vsym-False", "hsym-rhombus-False"],
+    ids=["hsym-False", "vsym-False", "hsym-rhombus-False"],
 )
 def test_vsym_over_triangle_cap_skips_the_plain_count(capsys, monkeypatch, spec, cls, crosscheck, counts_whole_region):
     # 304 and 312 triangles: past the triangle cap the enumeration gate is
-    # shut without a plain count; hsym still needs one for M = M_h * W,
-    # which has no closed form on a region with a central rhombus, and the
-    # upper half of n=6 m=3 x=2 (24,159,720 tilings) is past ENUM_LIMIT
+    # shut without a plain count, and the path route checks hsym, rhombus
+    # or not, without one
     sizes = []
 
     def recording_count_plain(region):
@@ -255,22 +257,23 @@ def test_vsym_over_triangle_cap_skips_the_plain_count(capsys, monkeypatch, spec,
 
 # spec -> the values and cross-check verdicts of its classes, in the order
 # of METHODS; between them the specs reach every route: the enumeration
-# tally, the closed forms, the enumeration of a half, and none
+# tally, the path routes, the closed forms, the enumeration of a half, and
+# none
 PINNED_COUNTS = {
     "n=2 m=1": ("20 2 10 10 10", "ok ok ok ok ok"),
     "n=2 m=1 k=1": ("1 1 1 1 1", "ok ok ok ok ok"),
-    "n=10 m=1 k=1,2,3,4,5": ("1 1 1 1 1", "skipped ok ok ok ok"),
+    "n=10 m=1 k=1,2,3,4,5": ("1 1 1 1 1", "ok ok ok ok ok"),
     "n=2 m=1 x=1": ("85 5 17 17 17", "ok ok ok ok ok"),
-    "n=4 m=2 x=1": ("7017516 594 11814 11814 11814", "skipped ok ok ok ok"),
-    "n=4 m=2 x=2": ("127760633 3157 40469 40469 40469", "skipped ok ok ok ok"),
-    "n=8 m=3 k=2,4": ("54454201488960 1299080 41917512 41917512 41917512", "skipped ok ok ok ok"),
+    "n=4 m=2 x=1": ("7017516 594 11814 11814 11814", "ok ok ok ok ok"),
+    "n=4 m=2 x=2": ("127760633 3157 40469 40469 40469", "ok ok ok ok ok"),
+    "n=8 m=3 k=2,4": ("54454201488960 1299080 41917512 41917512 41917512", "ok ok ok ok ok"),
     "n=6 m=3 x=2": (
         "43197612797052480 24159720 1788001384 1788001384 1788001384",
-        "skipped skipped skipped skipped skipped",
+        "ok ok skipped skipped skipped",
     ),
     "n=12 m=3 k=2,5": (
         "3400921312243440409496489220 1721615641678 1975424264226990 1975424264226990 1975424264226990",
-        "skipped ok ok ok ok",
+        "ok ok ok ok ok",
     ),
 }
 
@@ -286,9 +289,8 @@ def test_count_prints_the_pinned_record_of_every_class(capsys, spec):
 def test_every_link_a_count_class_names_is_a_chain_link():
     # so a mistyped link fails here, not only on the specs its route reaches
     for cls, (link, _, checks) in verify.COUNT_CLASSES.items():
-        for check in (link, *checks):
-            for name in (check,) if isinstance(check, str) else check:
-                assert isinstance(getattr(verify.Chain, name, None), (property, cached_property)), (cls, name)
+        for name in (link, *checks):
+            assert isinstance(getattr(verify.Chain, name, None), (property, cached_property)), (cls, name)
 
 
 def test_verify_over_triangle_cap(capsys):

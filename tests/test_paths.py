@@ -9,6 +9,8 @@ from hexholes.paths import (
     brute_force_endline_families,
     brute_force_fixed_families,
     count_free_via_pfaffian,
+    count_plain_via_lgv,
+    count_upper_via_lgv,
     count_weighted2_via_det,
     cut_line_points,
     diagonal_lgv_matrix,
@@ -31,7 +33,7 @@ from hexholes.reduction import (
     parse_hole_label,
     plus_label,
 )
-from hexholes.regions import CapExceeded, RegionSpec, build_region, left_half_free, lower_half_weighted
+from hexholes.regions import CapExceeded, RegionSpec, build_region, left_half_free, lower_half_weighted, upper_half
 from hexholes.tiler import count_free, count_plain, count_weighted2, split_by_axis
 from hexholes.verify import iter_specs
 
@@ -118,27 +120,52 @@ def test_lgv_entries_are_reflection_gfs():
         assert diagonal_lgv_matrix(spec).rows == generic_lgv_matrix(spec).rows, spec.text()
 
 
+HOLE_SPECS = iter_specs(range(1, 9), (1, 2, 3), (0, 1, 2))
+RHOMBUS_SPECS = iter_specs((2, 4, 6), (1, 2), (0, 1, 2), range(1, 5))
+
+
+def rhombus_points(spec):
+    """The rhombus's points (a, N+1-a), a = n/2+1 .. n/2+x, on the cut line
+    x + y = N + 1 of the frame side N = n + x."""
+    side = spec.frame_side
+    return [(a, side + 1 - a) for a in range(spec.n // 2 + 1, spec.n // 2 + spec.central_x + 1)]
+
+
 def test_the_start_points_and_their_mirror_are_the_whole_region_lgv():
     # every path of the skew matrix's labels, from its start to its mirrored
     # end, counted by free paths: the determinant is the plain tiling count
-    specs = iter_specs(range(1, 9), (1, 2, 3), (0, 1, 2))
-    assert len(specs) == 114
-    for spec in specs:
+    assert len(HOLE_SPECS) == 114
+    for spec in HOLE_SPECS:
         det = determinant(lgv_matrix(free_path_count, *family_points(spec)))
-        assert det == count_plain(build_region(spec)) > 0, spec.text()
+        assert det == count_plain_via_lgv(spec) == count_plain(build_region(spec)) > 0, spec.text()
 
 
 def test_the_rhombus_points_are_zero_length_paths_of_the_whole_region_lgv():
-    # the rhombus's points (a, N+1-a), a = n/2+1 .. n/2+x, on the cut line
-    # x + y = N + 1 of the frame side N = n + x, both start and end a path
-    specs = iter_specs((2, 4, 6), (1, 2), (0, 1, 2), range(1, 5))
-    assert len(specs) == 104
-    for spec in specs:
-        side = spec.frame_side
-        gap = [(a, side + 1 - a) for a in range(spec.n // 2 + 1, spec.n // 2 + spec.central_x + 1)]
+    # the rhombus's points both start and end a path
+    assert len(RHOMBUS_SPECS) == 104
+    for spec in RHOMBUS_SPECS:
+        gap = rhombus_points(spec)
         starts, ends = family_points(spec)
         det = determinant(lgv_matrix(free_path_count, starts + gap, ends + gap))
-        assert det == count_plain(build_region(spec)) > 0, spec.text()
+        assert det == count_plain_via_lgv(spec) == count_plain(build_region(spec)) > 0, spec.text()
+
+
+def test_the_paths_above_the_diagonal_are_the_upper_half_lgv():
+    # the starts with x < y, rhombus points included, each to its mirror,
+    # by the paths that never touch x = y
+    for spec in HOLE_SPECS + RHOMBUS_SPECS:
+        assert count_upper_via_lgv(spec) == count_plain(upper_half(build_region(spec))) > 0, spec.text()
+
+
+def test_paths_that_may_touch_the_diagonal_overcount_the_upper_half():
+    # the negative control: mirrored through x = y + 1 instead, the paths
+    # may touch x = y, and the determinant is no longer the upper half's count
+    spec = RegionSpec(2, 1)
+    starts, ends = family_points(spec, [0])  # the one start above x = y, (0, 1)
+    touching = lambda a, b: free_path_count(a, b) - free_path_count((a[1] + 1, a[0] - 1), b)
+    upper = count_plain(upper_half(build_region(spec)))
+    assert count_upper_via_lgv(spec) == upper == 2
+    assert determinant(lgv_matrix(touching, starts, ends)) == 5 != upper
 
 
 def double_sum_matrix(starts, ipoints) -> LabeledMatrix:

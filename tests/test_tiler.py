@@ -443,8 +443,9 @@ def _kasteleyn_by_tuples(region, weighted):
 
 
 def _monomer_by_tuples(region):
-    """The boundary-monomer matrix A of the tiler's module docstring."""
-    order = sorted(region.triangles)
+    """The boundary-monomer matrix A of the tiler's module docstring: ups
+    first, then downs, each in row-major order."""
+    order = sorted(region.triangles, key=lambda t: (not region.is_up(t), t))
     index = {t: j for j, t in enumerate(order)}
     size = len(order) + len(order) % 2
     rows = [{} for _ in range(size)]
