@@ -19,11 +19,15 @@ in `tests/oracles.py`.
 Every modulus is a Mersenne number p = 2^e - 1, and the kernels refuse
 any other.  Since 2^e = 1 modulo p, an update x reduces by the fold
 (x & p) + (x >> e), which keeps x modulo p: a mask, a shift and an add,
-linear in the width, where a generic `%` divides.  For an x in
-(-p^2, p^2) one fold lands in (-p, 2p), where the only multiples of p
-are 0 and p, so one correction finishes an update.  Both kernels fold
-under every modulus: from 2^521 - 1 up the fold is several times faster
-than `%`, and below it neither is faster.
+linear in the width, where a generic `%` divides.  Each update of
+either kernel adds one product to a stored entry: in `det_mod_sparse`,
+of two residues in [0, p) to a third; in `pfaffian_mod_sparse`, of a
+symmetric residue in (-p/2, p/2) and a stored entry in (-p, p) to
+another stored entry.  Either way x stays inside (-p^2, p^2), where one
+fold lands in (-p, 2p), whose only multiples of p are 0 and p, so one
+correction finishes an update.  Both kernels fold under every modulus:
+from 2^521 - 1 up the fold is several times faster than `%`, and below
+it neither is faster.
 
 Matrices carry explicit row/column labels (any hashable values) so callers
 can address entries by the same index sets that define them.
@@ -337,18 +341,24 @@ def pfaffian_mod_sparse(rows: Sequence[Mapping[int, int]], prime: int) -> int:
     Pairs one row with one column at a time: the first remaining row r,
     and as its partner the column c of a nonzero A[r][c] whose own row has
     the fewest entries.  Removing rows and columns r and c leaves the skew
-    Schur complement A[i][j] + (A[c][i] A[r][j] - A[r][i] A[c][j]) / A[r][c],
-    computed on one triangle and mirrored to the other, and Pf A is
-    A[r][c] times its Pfaffian, signed by the parity of the order in which
-    the pairs were taken.
+    Schur complement A[i][j] + x_i A[r][j] - A[r][i] x_j, with
+    x_i = A[c][i] / A[r][c], and Pf A is A[r][c] times its Pfaffian, signed
+    by the parity of the order in which the pairs were taken.  The
+    complement is a rank-2 update, applied one product at a time: for each
+    i where x_i is nonzero and each j != i where A[r][j] is, x_i A[r][j] is
+    added to A[i][j] and the result mirrored into A[j][i] negated, which
+    is the -A[r][j] x_i term of entry (j, i).  No pair outside the
+    two supports is visited, and i = j, where the two terms cancel, is
+    skipped.
 
     Entries enter as symmetric residues, in (-prime/2, prime/2), so that
     the small integers of the early Schur complements stay small.  An
-    update adds to a stored entry two products of a stored entry and a
-    symmetric residue, so while every stored entry is in (-prime, prime)
-    the update is in (-prime^2, prime^2); one fold takes it to
-    (-prime, 2 prime) (see the module docstring), and the symmetric
-    correction, which also maps prime to 0, back into (-prime, prime).
+    update adds to a stored entry one product of a symmetric residue x_i,
+    in (-prime/2, prime/2), and a stored entry A[r][j], so while every
+    stored entry is in (-prime, prime) the update is in (-prime^2, prime^2);
+    one fold takes it to (-prime, 2 prime) (see the module docstring), and
+    the symmetric correction, which also maps prime to 0, back into
+    (-prime, prime).
     """
     e = _mersenne_exponent(prime)
     n = len(rows)
@@ -387,14 +397,12 @@ def pfaffian_mod_sparse(rows: Sequence[Mapping[int, int]], prime: int) -> int:
         for i, v in row_c.items():
             v = v * inverse % prime
             scaled_c[i] = v - prime if v > half else v
-        span = sorted(row_r.keys() | row_c.keys())
-        for k, i in enumerate(span):
-            xi, yi, row = scaled_c.get(i, 0), row_r.get(i, 0), rows[i]
-            for j in span[k + 1 :]:
-                delta = xi * row_r.get(j, 0) - yi * scaled_c.get(j, 0)
-                if not delta:
+        for i, xi in scaled_c.items():
+            row = rows[i]
+            for j, yj in row_r.items():
+                if j == i:
                     continue
-                new = row.get(j, 0) + delta
+                new = row.get(j, 0) + xi * yj
                 new = (new & prime) + (new >> e)
                 if new > half:
                     new -= prime

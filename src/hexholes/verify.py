@@ -122,8 +122,13 @@ class Chain:
     weighted = cached_property(lambda self: tiler.count_weighted2(self.lower))
     # the enumeration oracles, each None past its reach: one tally of the
     # region, (tilings, hsym, vsym), read through the three links below,
-    # and the counts of its free and weighted halves
-    tally = cached_property(lambda self: _oracle(tiler.symmetric_via_enumeration, self.region, lambda: self.plain))
+    # and the counts of its free and weighted halves.  The tally's reach
+    # reads M from the whole region's LGV, the cheapest route to it; two
+    # specs naming one region have the same M, so the tally stays a link
+    # of the region
+    tally = cached_property(
+        lambda self: _oracle(tiler.symmetric_via_enumeration, self.region, lambda: self.path_plain)
+    )
     enumerated = property(lambda self: None if self.tally is None else self.tally[0])
     hsym_enumerated = property(lambda self: None if self.tally is None else self.tally[1])
     vsym_enumerated = property(lambda self: None if self.tally is None else self.tally[2])

@@ -231,18 +231,24 @@ def test_within_enumeration_reach_the_symmetry_classes_are_checked_by_definition
 
 
 @pytest.mark.parametrize(
-    "spec, cls, crosscheck, counts_whole_region",
+    "spec, cls, value, crosscheck, counts_whole_region",
     [
-        ("n=8 m=3 k=2,4", "hsym", "ok", False),
-        ("n=8 m=3 k=2,4", "vsym", "ok", False),
-        ("n=6 m=3 x=2", "hsym", "ok", False),
+        ("n=8 m=3 k=2,4", "hsym", "1299080", "ok", False),
+        ("n=8 m=3 k=2,4", "vsym", "41917512", "ok", False),
+        ("n=6 m=3 x=2", "hsym", "24159720", "ok", False),
+        ("n=7 m=2 k=1,2", "hsym", "55", "ok", False),
+        ("n=7 m=2 k=1,2", "vsym", "4719", "ok", False),
     ],
-    ids=["hsym-False", "vsym-False", "hsym-rhombus-False"],
+    ids=["hsym-False", "vsym-False", "hsym-rhombus-False", "hsym-inside-cap-False", "vsym-inside-cap-False"],
 )
-def test_vsym_over_triangle_cap_skips_the_plain_count(capsys, monkeypatch, spec, cls, crosscheck, counts_whole_region):
+def test_vsym_over_triangle_cap_skips_the_plain_count(
+    capsys, monkeypatch, spec, cls, value, crosscheck, counts_whole_region
+):
     # 304 and 312 triangles: past the triangle cap the enumeration gate is
     # shut without a plain count, and the path route checks hsym, rhombus
-    # or not, without one
+    # or not, without one.  194 triangles (n=7), inside the cap: the gate
+    # reads M = 259545 from the whole region's LGV and shuts, past
+    # ENUM_LIMIT, still without one
     sizes = []
 
     def recording_count_plain(region):
@@ -251,7 +257,8 @@ def test_vsym_over_triangle_cap_skips_the_plain_count(capsys, monkeypatch, spec,
 
     monkeypatch.setattr(tiler, "count_plain", recording_count_plain)
     code, out = run(capsys, "count", *spec.split(), "--class", cls)
-    assert code == 0 and json.loads(out)["crosscheck"] == crosscheck
+    rec = json.loads(out)
+    assert code == 0 and rec["value"] == value and rec["crosscheck"] == crosscheck
     assert (len(build_region(RegionSpec.parse(spec)).triangles) in sizes) == counts_whole_region
 
 

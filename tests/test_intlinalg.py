@@ -276,10 +276,35 @@ def test_pfaffian_mod_sparse_matches_the_matching_expansion(rows, prime):
     assert pf * pf % prime == det_mod_sparse(sparse, prime)
 
 
+@st.composite
+def dense_skew(draw):
+    """A random dense skew integer matrix of even order 2-10, entries up to
+    2^64 in absolute value and rarely zero, as dense rows."""
+    n = draw(st.sampled_from((2, 4, 6, 8, 10)))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(st.integers(-(2**64), 2**64))
+            rows[i][j], rows[j][i] = v, -v
+    return rows
+
+
+# every pivot row and its partner share columns, so one step of the
+# elimination updates each pair of remaining entries (i, j) and (j, i)
+# twice, once from either side
+@given(dense_skew(), st.sampled_from((7, 31, 2**61 - 1, 2**521 - 1)))
+def test_pfaffian_mod_sparse_matches_the_matching_expansion_on_dense_matrices(rows, prime):
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    pf = pfaffian_mod_sparse(sparse, prime)
+    assert pf == pfaffian_by_matchings(from_rows(rows)) % prime  # the sign included
+    assert pf * pf % prime == det_mod_sparse(sparse, prime)
+
+
 def _pfaffian_via_one_update(a, b, d):
     """The sparse rows of the 4x4 skew matrix with A[0][1] = 1, A[0][2] = a,
     A[1][3] = b and A[2][3] = d, whose Pfaffian d - a * b the kernel reaches
-    by pairing 0 with 1 and updating entry (2, 3) once."""
+    by pairing 0 with 1 and updating entry (3, 2) once, from -d to a * b - d,
+    then mirroring it into entry (2, 3)."""
     return [{1: 1, 2: a}, {0: -1, 3: b}, {0: -a, 3: d}, {1: -b, 2: -d}]
 
 
@@ -294,14 +319,16 @@ def test_pfaffian_mod_sparse_edge_cases():
         assert pfaffian_mod_sparse([{1: -5}, {0: 5}], prime) == prime - 5
         # the update 1 + 2 * half is prime itself; read as nonzero, it would
         # be the last pair's pivot
+        assert pfaffian_mod_sparse(_pfaffian_via_one_update(2, half, -1), prime) == 0
+        # the update -1 - 2 * half is -prime, which one fold takes to 0
         assert pfaffian_mod_sparse(_pfaffian_via_one_update(2, -half, 1), prime) == 0
-        # updates of -1, of half and of -half (the entry half + 1 is read as -half)
+        # updates of 1, of -half and of half (the entry half + 1 is read as -half)
         assert pfaffian_mod_sparse(_pfaffian_via_one_update(1, 1, 0), prime) == prime - 1
         assert pfaffian_mod_sparse(_pfaffian_via_one_update(1, 1, half + 1), prime) == half
         assert pfaffian_mod_sparse(_pfaffian_via_one_update(1, -1, -half - 1), prime) == prime - half
         # entries past the modulus are reduced on entry: unreduced, the update
-        # (d - 1) = prime * ((prime + 1)^2 + 1), a multiple of prime near
-        # prime^3, would fold to prime * (prime + 2) and read as nonzero
+        # 1 - d = -prime * ((prime + 1)^2 + 1), a multiple of prime near
+        # -prime^3, would fold to -prime * (prime + 1) and read as nonzero
         d = prime * ((prime + 1) ** 2 + 1) + 1
         assert pfaffian_mod_sparse(_pfaffian_via_one_update(1, 1, d), prime) == 0
         assert pfaffian_mod_sparse(_pfaffian_via_one_update(prime + 1, prime - 1, 3 * prime), prime) == 1
