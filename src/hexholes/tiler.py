@@ -21,9 +21,10 @@ Two kinds of engine, on arbitrary-precision integers:
   Each is polynomial in the region size, and each assembles its matrix
   from `_frame`, the region's frame laid out once per call as integers.
 * exhaustive backtracking enumeration (the oracles, capped): plain and
-  weighted counts, and the tilings with both symmetry classes by
-  definition, from one enumeration that keeps the tilings each reflection
-  fixes.
+  weighted counts by enumerating every tiling, and the tilings a
+  reflection fixes by definition, by a mirror-constrained enumeration
+  that places each tile with its image, so that it visits only the fixed
+  tilings.
 
 A free up triangle may be left to a half lozenge, an unmatched vertex of
 the matching.  A is skew, on every triangle plus a pad vertex z when their
@@ -156,32 +157,67 @@ def count_via_enumeration(region: Region) -> int:
     return sum(2 ** sum(tile not in tiling for tile in axis_tiles) for tiling in enumerate_tilings(region))
 
 
-def symmetric_via_enumeration(region: Region) -> tuple[int, int, int]:
-    """(tilings, tilings fixed by reflect_h, tilings fixed by reflect_v), by
-    definition, from one enumeration.
+def count_fixed_via_enumeration(region: Region, ref: Callable[[Triangle], Triangle]) -> int:
+    """The tilings fixed by ref (reflect_h or reflect_v), by definition, at
+    a cost that scales with them rather than with all tilings.
 
-    A tiling is fixed when every tile's mirror image is one of its tiles; a
-    reflection is an involution, so the image is then the whole tiling.
-    Each tile's two images are worked out once per region, on the first
-    tiling that holds it.
+    Backtracks like `enumerate_tilings`, on the least uncovered triangle
+    with the same options in the same order, but places each option
+    together with its mirror image: once when the tile is its own image,
+    otherwise both, and never when the image overlaps the tile or either
+    touches a covered triangle.  ref maps the region onto itself, so every
+    placement keeps the covered triangles a union of mirror pairs, and each
+    fixed tiling is found exactly once.  The region is never cut along an
+    axis, so the count is independent of the half-region engines.  Raises
+    ValueError on a region ref does not fix, CapExceeded on one of more than
+    TRIANGLE_CAP triangles or once more than ENUM_LIMIT fixed tilings exist.
     """
-    refs = (region.reflect_h, region.reflect_v)
-    if not all(region.is_symmetric(ref) for ref in refs):
-        raise ValueError("the symmetry oracle needs a region fixed by both reflections")
-    mirrors: list[dict[Tile, Tile]] = [{}, {}]  # tile -> its image, per reflection
-    tilings, fixed = 0, [0, 0]
-    for tiling in enumerate_tilings(region):
-        tilings += 1
-        for j, (ref, mirror) in enumerate(zip(refs, mirrors)):
-            for tile in tiling:
-                image = mirror.get(tile)
-                if image is None:
-                    image = mirror[tile] = tuple(sorted(map(ref, tile)))
-                if image not in tiling:
-                    break
-            else:
-                fixed[j] += 1
-    return tilings, fixed[0], fixed[1]
+    if len(region.triangles) > TRIANGLE_CAP:
+        raise CapExceeded(
+            f"region has {len(region.triangles)} triangles, cap is {TRIANGLE_CAP}"
+        )
+    if not region.is_symmetric(ref):
+        raise ValueError("the mirror-constrained enumeration needs a region fixed by the reflection")
+    triangles, free = region.triangles, region.free
+    order = sorted(triangles)
+    # each triangle's options as the cells a tile and its image cover, tile
+    # first; an image overlapping its tile gives repeated cells, no option
+    moves: dict[Triangle, list[Tile]] = {}
+    for t in order:
+        i, p = t
+        options = [(t, (i, p + 1))] if (i, p + 1) in triangles else []
+        if region.is_up(t):
+            v = region.vertical_partner(t)
+            if v is not None and v in triangles:
+                options.append((t, v))
+            if t in free:
+                options.append((t,))
+        moves[t] = []
+        for tile in options:
+            image = tuple(sorted(map(ref, tile)))
+            cells = tile if image == tile else tile + image
+            if len(set(cells)) == len(cells):
+                moves[t].append(cells)
+    covered: set[Triangle] = set()
+    fixed = 0
+
+    def extend(idx: int) -> None:
+        nonlocal fixed
+        while idx < len(order) and order[idx] in covered:
+            idx += 1
+        if idx == len(order):
+            fixed += 1
+            if fixed > ENUM_LIMIT:
+                raise CapExceeded(f"more than {ENUM_LIMIT} fixed tilings")
+            return
+        for cells in moves[order[idx]]:
+            if covered.isdisjoint(cells):
+                covered.update(cells)
+                extend(idx + 1)
+                covered.difference_update(cells)
+
+    extend(0)
+    return fixed
 
 
 # ---------------------------------------------------------------------------

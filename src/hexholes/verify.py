@@ -102,15 +102,17 @@ class Chain:
     counts, the enumeration oracles, and the paths' Pfaffian, determinant
     and LGV routes.  Each link is a value, or None where its route does not
     reach.  The cached links read the region alone and are computed on
-    first use, at most once; they live in the instance dict, the spec in a
-    slot, so that the chains of two specs naming one region can share them
-    (see `_chains`).  The links that read the spec are uncached
+    first use, at most once; they live in the instance dict, the spec and
+    `path_plain` in slots, so that the chains of two specs naming one
+    region share the region's links (see `_chains`) and no link that reads
+    the spec.  The other links that read the spec are uncached
     properties."""
 
-    __slots__ = ("spec", "__dict__")
+    __slots__ = ("spec", "_path_plain", "__dict__")
 
     def __init__(self, spec: RegionSpec) -> None:
         self.spec = spec
+        self._path_plain: int | None = None
 
     region = cached_property(lambda self: build_region(self.spec))
     upper = cached_property(lambda self: upper_half(self.region))
@@ -120,18 +122,15 @@ class Chain:
     upper_count = cached_property(lambda self: tiler.count_plain(self.upper))
     free = cached_property(lambda self: tiler.count_free(self.free_half))
     weighted = cached_property(lambda self: tiler.count_weighted2(self.lower))
-    # the enumeration oracles, each None past its reach: one tally of the
-    # region, (tilings, hsym, vsym), read through the three links below,
-    # and the counts of its free and weighted halves.  The tally's reach
+    # the enumeration oracles, each None past its reach.  The region's reach
     # reads M from the whole region's LGV, the cheapest route to it; two
-    # specs naming one region have the same M, so the tally stays a link
-    # of the region
-    tally = cached_property(
-        lambda self: _oracle(tiler.symmetric_via_enumeration, self.region, lambda: self.path_plain)
-    )
-    enumerated = property(lambda self: None if self.tally is None else self.tally[0])
-    hsym_enumerated = property(lambda self: None if self.tally is None else self.tally[1])
-    vsym_enumerated = property(lambda self: None if self.tally is None else self.tally[2])
+    # specs naming one region have the same M, so the reach stays a link of
+    # the region.  Within it, `enumerated` enumerates every tiling, and the
+    # symmetry classes enumerate only the tilings their reflection fixes
+    reach = cached_property(lambda self: tiler.enumerable(self.region, lambda: self.path_plain))
+    enumerated = cached_property(lambda self: tiler.count_via_enumeration(self.region) if self.reach else None)
+    hsym_enumerated = cached_property(lambda self: self._fixed_enumerated(self.region.reflect_h))
+    vsym_enumerated = cached_property(lambda self: self._fixed_enumerated(self.region.reflect_v))
     free_enumerated = cached_property(
         lambda self: _oracle(tiler.count_via_enumeration, self.free_half, lambda: self.free)
     )
@@ -141,13 +140,23 @@ class Chain:
     # the paths' closed forms read the spec, and take no central rhombus
     pfaffian = property(lambda self: None if self.spec.central_x else paths.count_free_via_pfaffian(self.spec))
     determinant = property(lambda self: None if self.spec.central_x else paths.count_weighted2_via_det(self.spec))
-    # the path routes read the spec too, and reach every spec
-    path_plain = property(lambda self: paths.count_plain_via_lgv(self.spec))
     path_upper = property(lambda self: paths.count_upper_via_lgv(self.spec))
 
     # the symmetry classes by definition where enumerable, else by the halves
     hsym = property(lambda self: self.upper_count if (e := self.hsym_enumerated) is None else e)
     vsym = property(lambda self: self.free if (e := self.vsym_enumerated) is None else e)
+
+    def _fixed_enumerated(self, ref: Callable) -> int | None:
+        return tiler.count_fixed_via_enumeration(self.region, ref) if self.reach else None
+
+    @property
+    def path_plain(self) -> int:
+        """M by the whole region's LGV, which reaches every spec.  The reach
+        and the full class's check both read it, so it is computed once per
+        chain and kept in a slot of the chain, not of the region."""
+        if self._path_plain is None:
+            self._path_plain = paths.count_plain_via_lgv(self.spec)
+        return self._path_plain
 
 
 def _chains(specs: Sequence[RegionSpec], chains: dict | None) -> Iterator[Chain]:
@@ -213,12 +222,12 @@ def check_rhombus_factorization(specs: Sequence[RegionSpec], chains: dict | None
 
 
 def check_halves(specs: Sequence[RegionSpec], chains: dict | None = None) -> list[dict]:
-    """The two cut equivalences, tested by definition (enumeration filter)
-    against the half-region counts, on every instance small enough to
-    enumerate."""
+    """The two cut equivalences, tested by definition (the tilings each
+    reflection fixes, by mirror-constrained enumeration) against the
+    half-region counts, on every instance within the enumeration reach."""
     out = []
     for c in _chains(specs, chains):
-        if c.enumerated is None:
+        if not c.reach:
             continue
         s, hsym, vsym = c.spec.text(), c.hsym_enumerated, c.vsym_enumerated
         out.append(record(s, "sym-eq-upper-half", hsym, c.upper_count, "enumeration-filter", "kasteleyn-det"))

@@ -17,6 +17,10 @@ computes another way, kept slow and direct on purpose:
   `intlinalg.det_mod_sparse`, without any division.
 * `reflectable_gf_dp`, a weighted lattice DP, checks the closed form
   `paths.reflectable_gf`.
+* `symmetric_via_enumeration`, the symmetry filter by definition: it
+  enumerates every tiling and keeps those each reflection fixes.  It
+  checks the mirror-constrained enumeration
+  `tiler.count_fixed_via_enumeration`.
 * `from_rows` builds a `LabeledMatrix` labelled by row and column index.
 """
 
@@ -28,6 +32,7 @@ from typing import Callable, Iterator, Sequence
 from hexholes.intlinalg import LabeledMatrix, _require_even_skew
 from hexholes.paths import Point
 from hexholes.regions import CapExceeded, Region
+from hexholes.tiler import Tile, enumerate_tilings
 
 # widest frame row the profile DP sweeps: its states can double per cell
 DP_WIDTH_CAP = 64
@@ -103,6 +108,38 @@ def _profile_dp(region: Region, use_free: bool, weighted: bool) -> int:
         # every bit of row i is cleared; the next row's bits move down
         states = {s >> width: w for s, w in states.items()}
     return states.get(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the symmetry filter: the oracle of the mirror-constrained enumeration
+
+
+def symmetric_via_enumeration(region: Region) -> tuple[int, int, int]:
+    """(tilings, tilings fixed by reflect_h, tilings fixed by reflect_v), by
+    definition, from one enumeration.
+
+    A tiling is fixed when every tile's mirror image is one of its tiles; a
+    reflection is an involution, so the image is then the whole tiling.
+    Each tile's two images are worked out once per region, on the first
+    tiling that holds it.
+    """
+    refs = (region.reflect_h, region.reflect_v)
+    if not all(region.is_symmetric(ref) for ref in refs):
+        raise ValueError("the symmetry oracle needs a region fixed by both reflections")
+    mirrors: list[dict[Tile, Tile]] = [{}, {}]  # tile -> its image, per reflection
+    tilings, fixed = 0, [0, 0]
+    for tiling in enumerate_tilings(region):
+        tilings += 1
+        for j, (ref, mirror) in enumerate(zip(refs, mirrors)):
+            for tile in tiling:
+                image = mirror.get(tile)
+                if image is None:
+                    image = mirror[tile] = tuple(sorted(map(ref, tile)))
+                if image not in tiling:
+                    break
+            else:
+                fixed[j] += 1
+    return tilings, fixed[0], fixed[1]
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ def test_count_over_triangle_cap_uses_dp(capsys, cls):
 @pytest.mark.parametrize(
     "spec, cls, module, engine",
     [
-        ("n=2 m=1", "full", tiler, "count_plain"),  # against the enumeration tally
+        ("n=2 m=1", "full", tiler, "count_plain"),  # against the enumeration of every tiling
         ("n=2 m=1", "hsym", tiler, "count_plain"),
         ("n=2 m=1", "vsym", tiler, "count_free"),
         # past the triangle cap: the path routes, and the Pfaffian
@@ -195,7 +195,7 @@ def test_count_over_triangle_cap_uses_dp(capsys, cls):
         # a rhombus: no closed form, so the enumeration of the half
         ("n=2 m=1 x=1", "free-left", tiler, "count_via_enumeration"),
         ("n=2 m=1 x=1", "weighted-lower", tiler, "count_via_enumeration"),
-        ("n=4 m=2 x=1", "vsym", tiler, "count_via_enumeration"),  # past the tally's reach
+        ("n=4 m=2 x=1", "vsym", tiler, "count_via_enumeration"),  # past the region's enumeration reach
         ("n=4 m=2 x=1", "free-left", tiler, "count_via_enumeration"),
         ("n=4 m=2 x=1", "weighted-lower", tiler, "count_via_enumeration"),
         # the path routes reach a rhombus too
@@ -220,8 +220,8 @@ def test_hole_only_halves_are_not_enumerated(capsys, monkeypatch):
 
 
 def test_within_enumeration_reach_the_symmetry_classes_are_checked_by_definition(capsys, monkeypatch):
-    # the enumeration tally is the first route; the path routes and the
-    # closed forms are not asked
+    # the mirror-constrained enumeration is the first route; the path routes
+    # and the closed forms are not asked
     monkeypatch.setattr(paths, "count_upper_via_lgv", lambda spec: pytest.fail("asked the upper path route"))
     monkeypatch.setattr(paths, "count_weighted2_via_det", lambda spec: pytest.fail("asked the determinant"))
     monkeypatch.setattr(paths, "count_free_via_pfaffian", lambda spec: pytest.fail("asked the Pfaffian"))
@@ -262,10 +262,23 @@ def test_vsym_over_triangle_cap_skips_the_plain_count(
     assert (len(build_region(RegionSpec.parse(spec)).triangles) in sizes) == counts_whole_region
 
 
+@pytest.mark.parametrize("cls", ["full", "hsym", "vsym"])
+def test_count_computes_the_whole_region_lgv_once(capsys, monkeypatch, cls):
+    # 194 triangles, M = 259545: inside the triangle cap the reach reads M
+    # from the whole region's LGV and shuts, and `full`'s check reads that
+    # same value
+    specs = []
+    real = paths.count_plain_via_lgv
+    monkeypatch.setattr(paths, "count_plain_via_lgv", lambda spec: specs.append(spec) or real(spec))
+    code, out = run(capsys, "count", "n=7", "m=2", "k=1,2", "--class", cls)
+    assert code == 0 and json.loads(out)["crosscheck"] == "ok"
+    assert specs == [RegionSpec(7, 2, (1, 2))]
+
+
 # spec -> the values and cross-check verdicts of its classes, in the order
-# of METHODS; between them the specs reach every route: the enumeration
-# tally, the path routes, the closed forms, the enumeration of a half, and
-# none
+# of METHODS; between them the specs reach every route: the enumerations
+# of the region, the path routes, the closed forms, the enumeration of a
+# half, and none
 PINNED_COUNTS = {
     "n=2 m=1": ("20 2 10 10 10", "ok ok ok ok ok"),
     "n=2 m=1 k=1": ("1 1 1 1 1", "ok ok ok ok ok"),
@@ -525,16 +538,27 @@ def test_repeated_calls_print_what_a_fresh_process_prints(capsys, monkeypatch):
 
 
 def _count_enumerations(monkeypatch) -> collections.Counter:
-    """Count `enumerate_tilings` calls per region."""
+    """Count the calls of both enumerators: `enumerate_tilings` under
+    (region, None), `count_fixed_via_enumeration` under (region, the
+    reflection's name)."""
     calls: collections.Counter = collections.Counter()
-    real = tiler.enumerate_tilings
+    every, fixed = tiler.enumerate_tilings, tiler.count_fixed_via_enumeration
 
-    def counted(region):
-        calls[region] += 1
-        return real(region)
+    def counted_every(region):
+        calls[region, None] += 1
+        return every(region)
 
-    monkeypatch.setattr(tiler, "enumerate_tilings", counted)
+    def counted_fixed(region, ref):
+        calls[region, ref.__name__] += 1
+        return fixed(region, ref)
+
+    monkeypatch.setattr(tiler, "enumerate_tilings", counted_every)
+    monkeypatch.setattr(tiler, "count_fixed_via_enumeration", counted_fixed)
     return calls
+
+
+def _all_pass(code: int, out: str) -> bool:
+    return code == 0 and all(json.loads(line)["pass"] for line in out.splitlines())
 
 
 @pytest.mark.parametrize(
@@ -544,14 +568,24 @@ def _count_enumerations(monkeypatch) -> collections.Counter:
 )
 def test_one_run_enumerates_no_region_twice(capsys, monkeypatch, argv):
     # the suites of one command share one run table, so no two suites, and
-    # no two specs of one region (a side-2 rhombus is a hole pair), enumerate
-    # a region twice
+    # no two specs of one region (a side-2 rhombus is a hole pair), run an
+    # enumerator on a region, or on a region and a reflection, twice
     calls = _count_enumerations(monkeypatch)
-    code, out = run(capsys, *argv)
-    assert code == 0 and all(json.loads(line)["pass"] for line in out.splitlines())
+    assert _all_pass(*run(capsys, *argv))
     assert calls and max(calls.values()) == 1
     if argv == ["selftest"]:
-        assert sum(calls.values()) == 114
+        # the oracles suite's 25 regions and their halves; the rhombus
+        # regions are enumerated by reflection only
+        assert sum(n for (_, ref), n in calls.items() if ref is None) == 100
+
+
+@pytest.mark.parametrize("suite", ["factorization", "halves"])
+def test_the_factorization_suites_enumerate_only_fixed_tilings(capsys, monkeypatch, suite):
+    # the 25 regions of the default grid within the enumeration reach, each
+    # by both reflections, and never every tiling
+    calls = _count_enumerations(monkeypatch)
+    assert _all_pass(*run(capsys, "verify", suite))
+    assert sorted(collections.Counter(ref for _, ref in calls).items()) == [("reflect_h", 25), ("reflect_v", 25)]
 
 
 def test_no_run_table_outlives_its_command(capsys, monkeypatch):

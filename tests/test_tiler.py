@@ -18,17 +18,17 @@ from hexholes.regions import (
     upper_half,
 )
 from hexholes.tiler import (
+    count_fixed_via_enumeration,
     count_free,
     count_plain,
     count_via_enumeration,
     count_weighted2,
     enumerate_tilings,
     split_by_axis,
-    symmetric_via_enumeration,
 )
-from hexholes.verify import iter_specs
+from hexholes.verify import DEFAULT_GRID, RHOMBUS_BOUNDS, iter_specs
 
-from oracles import _profile_dp
+from oracles import _profile_dp, symmetric_via_enumeration
 
 
 def test_enumerate_smallest_hexagon():
@@ -52,14 +52,22 @@ def test_enumeration_is_deterministic():
 
 
 def test_enumeration_cap(monkeypatch):
-    region = build_hexagon(3, 1)
+    region = build_hexagon(3, 1)  # 175 tilings, 35 fixed by reflect_v
     monkeypatch.setattr(tiler, "ENUM_LIMIT", 10)
     with pytest.raises(CapExceeded, match="more than 10 tilings"):
         list(enumerate_tilings(region))
+    # the mirror-constrained enumeration caps the fixed tilings
+    monkeypatch.setattr(tiler, "ENUM_LIMIT", 35)
+    assert count_fixed_via_enumeration(region, region.reflect_v) == 35
+    monkeypatch.setattr(tiler, "ENUM_LIMIT", 34)
+    with pytest.raises(CapExceeded, match="more than 34 fixed tilings"):
+        count_fixed_via_enumeration(region, region.reflect_v)
     monkeypatch.undo()
     monkeypatch.setattr(tiler, "TRIANGLE_CAP", 5)
     with pytest.raises(CapExceeded, match="cap is 5"):
         list(enumerate_tilings(region))
+    with pytest.raises(CapExceeded, match="cap is 5"):
+        count_fixed_via_enumeration(region, region.reflect_v)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
@@ -86,16 +94,51 @@ def test_weighted2_seed_values():
     assert count_weighted2(lower_half_weighted(build_region(RegionSpec(3, 1, (1,))))) == 5
 
 
+def _three_enumerations(region: Region) -> tuple[int, int, int]:
+    """(tilings, tilings fixed by reflect_h, tilings fixed by reflect_v) by
+    the library's two enumerators, in the order of the filter oracle."""
+    return (
+        count_via_enumeration(region),
+        count_fixed_via_enumeration(region, region.reflect_h),
+        count_fixed_via_enumeration(region, region.reflect_v),
+    )
+
+
 def test_symmetric_filters_match_half_counts():
     for spec in iter_specs(range(1, 5), (1, 2), (0, 1)):
         region = build_region(spec)
         if count_plain(region) > 5000:
             continue
-        assert symmetric_via_enumeration(region) == (
+        assert _three_enumerations(region) == (
             count_plain(region),
             count_plain(upper_half(region)),
             count_free(left_half_free(region)),
         )
+
+
+def test_fixed_enumeration_matches_the_filter_on_the_suite_grids():
+    # every region of the default grid and of the rhombus suite's bounds
+    # within the enumeration reach, each once
+    specs = iter_specs(**DEFAULT_GRID) + iter_specs(**{**DEFAULT_GRID, **RHOMBUS_BOUNDS})
+    regions = [r for r in dict.fromkeys(map(build_region, specs)) if tiler.enumerable(r, lambda: count_plain(r))]
+    assert len(regions) == 37
+    for region in regions:
+        assert _three_enumerations(region) == symmetric_via_enumeration(region)
+
+
+def test_fixed_enumeration_places_half_lozenges_with_their_images():
+    # the free half is fixed by reflect_h alone; at odd n the cut row's
+    # center is a free up, whose half lozenge is its own image, and the
+    # other half lozenges pair off across the axis
+    for spec in iter_specs(range(1, 5), (1, 2), (0, 1), (0, 1, 2)):
+        half = left_half_free(build_region(spec))
+        if count_free(half) > 5000:
+            continue
+        ref = half.reflect_h
+        fixed = sum(
+            all(tuple(sorted(map(ref, tile))) in tiling for tile in tiling) for tiling in enumerate_tilings(half)
+        )
+        assert count_fixed_via_enumeration(half, ref) == fixed, spec.text()
 
 
 def test_symmetric_tilings_cover_axis_positions():
@@ -110,17 +153,26 @@ def test_symmetric_tilings_cover_axis_positions():
 
 
 @pytest.mark.parametrize(
-    "triangles",
+    "triangles, fixed",
     [
-        {(0, p) for p in range(5)},  # fixed by reflect_h only
-        {(0, 0), (1, 0)},  # fixed by reflect_v only
-        {(0, 0), (0, 1)},  # fixed by neither
+        ({(0, p) for p in range(5)}, (0, None)),  # fixed by reflect_h only, and odd
+        ({(0, 0), (1, 0)}, (None, 1)),  # fixed by reflect_v only: one lozenge, its own image
+        ({(0, 0), (0, 1)}, (None, None)),  # fixed by neither
     ],
+    ids=["triangles0", "triangles1", "triangles2"],
 )
-def test_symmetry_oracle_refuses_asymmetric_regions(triangles):
+def test_symmetry_oracle_refuses_asymmetric_regions(triangles, fixed):
+    # the filter oracle needs both reflections; the mirror-constrained
+    # enumeration refuses only a reflection that moves the region (None)
     region = Region(side=1, m=1, triangles=frozenset(triangles))
     with pytest.raises(ValueError):
         symmetric_via_enumeration(region)
+    for ref, expected in zip((region.reflect_h, region.reflect_v), fixed):
+        if expected is None:
+            with pytest.raises(ValueError, match="needs a region fixed by the reflection"):
+                count_fixed_via_enumeration(region, ref)
+        else:
+            assert count_fixed_via_enumeration(region, ref) == expected
 
 
 def test_every_tiling_bisects_n_lozenges():
@@ -212,7 +264,8 @@ def test_a_symmetric_region_off_the_hole_shape_breaks_only_the_factorization():
     # Ciucu's factorization theorem (JCTA 1997), M = M_+ * W, needs only the
     # symmetry across the hole axis
     region = _less_orbits(build_hexagon(2, 1), [(1, 0)])
-    tilings, hsym, vsym = symmetric_via_enumeration(region)
+    tilings, hsym, vsym = _three_enumerations(region)
+    assert (tilings, hsym, vsym) == symmetric_via_enumeration(region)
     assert (tilings, hsym, vsym) == (9, 1, 3) and tilings != hsym * vsym
     assert count_plain(upper_half(region)) * count_weighted2(lower_half_weighted(region)) == 9
 
@@ -232,7 +285,7 @@ def test_ciucus_factorization_holds_on_orbit_removed_hexagons(region):
         lower = lower_half_weighted(region)
     except ValueError:  # a half-removed axis position: no weighted half
         assume(False)
-    tilings = symmetric_via_enumeration(region)[0]
+    tilings = count_via_enumeration(region)
     assert tilings == count_plain(upper_half(region)) * count_weighted2(lower)
 
 
@@ -258,8 +311,7 @@ def test_engines_agree_on_random_small_regions(spec):
     assert count_plain(upper) == _profile_dp(upper, use_free=False, weighted=False)
     if plain > 5000:
         return
-    assert plain == count_via_enumeration(region)
-    assert symmetric_via_enumeration(region) == (
+    assert _three_enumerations(region) == (
         plain,
         count_plain(upper_half(region)),
         count_free(left_half_free(region)),
@@ -269,6 +321,22 @@ def test_engines_agree_on_random_small_regions(spec):
     assert count_free(half) == count_via_enumeration(half)
     lower = lower_half_weighted(region)
     assert count_weighted2(lower) == count_via_enumeration(lower)
+
+
+@st.composite
+def symmetric_hole_sets(draw):
+    """A spec's region (n <= 5, m <= 2, with and without x), or a hexagon
+    less the orbits of one or two random cells under both reflections."""
+    if draw(st.booleans()):
+        return build_region(draw(small_specs()))
+    return draw(orbit_removed_hexagons())
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_hole_sets())
+def test_fixed_enumeration_matches_the_filter_on_random_symmetric_hole_sets(region):
+    assume(count_plain(region) <= 5000)
+    assert _three_enumerations(region) == symmetric_via_enumeration(region)
 
 
 @pytest.mark.parametrize(

@@ -218,11 +218,17 @@ def test_on_a_rhombus_spec_the_closed_form_links_do_not_reach():
 
 
 def test_a_rhombus_and_its_hole_twin_share_the_region_links(monkeypatch):
-    calls = _count_calls(monkeypatch, tiler, "count_plain", "symmetric_via_enumeration")
+    calls = _count_calls(monkeypatch, tiler, "count_plain", "count_via_enumeration", "count_fixed_via_enumeration")
+    lgv = _count_calls(monkeypatch, paths, "count_plain_via_lgv")
     rhombus, twin = verify._chains([RHOMBUS, TWIN], {})
     assert rhombus.region == twin.region
-    assert rhombus.plain == twin.plain and rhombus.tally is twin.tally is not None
-    assert calls == {"count_plain": 1, "symmetric_via_enumeration": 1}
+    for link in ("plain", "reach", "enumerated", "hsym_enumerated", "vsym_enumerated"):
+        assert getattr(rhombus, link) == getattr(twin, link) is not None, link
+    assert calls == {"count_plain": 1, "count_via_enumeration": 1, "count_fixed_via_enumeration": 2}
+    # the reach read the rhombus's LGV; the twin's is a link of the twin's spec
+    assert lgv == {"count_plain_via_lgv": 1}
+    assert rhombus.path_plain == twin.path_plain == rhombus.plain
+    assert lgv == {"count_plain_via_lgv": 2}
 
 
 @pytest.mark.parametrize("specs", [(RHOMBUS, TWIN), (TWIN, RHOMBUS)], ids=["rhombus-first", "twin-first"])
